@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 
@@ -84,6 +85,20 @@ inline analysis::ScanOptions scan_options(const util::Flags& flags,
     }
   }
   return options;
+}
+
+/// run_iw_scan for the bench CLIs. A scan that reports an error (say
+/// --spill-dir is unwritable, so this stride's spill file is missing) prints
+/// it and exits 1, so an operator-mode run never ends 0 with a stride lost.
+inline analysis::ScanOutput run_scan_or_exit(sim::Network& network,
+                                             model::InternetModel& internet,
+                                             const analysis::ScanOptions& options) {
+  analysis::ScanOutput output = analysis::run_iw_scan(network, internet, options);
+  if (!output.error.empty()) {
+    std::fprintf(stderr, "scan failed: %s\n", output.error.c_str());
+    std::exit(1);
+  }
+  return output;
 }
 
 inline void print_table(const analysis::TextTable& table, bool csv) {

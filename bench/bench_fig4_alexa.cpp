@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
     analysis::ScanOptions options = bench::scan_options(flags, protocol);
     options.popular_space = true;
     const auto output =
-        analysis::run_iw_scan(*world.network, *world.internet, options);
+        bench::run_scan_or_exit(*world.network, *world.internet, options);
     const auto summary = analysis::summarize(output.records);
     const auto histogram = analysis::iw_histogram(output.records);
     std::printf("%s: reachable %s, success rate %s (paper: %s)\n",

@@ -120,7 +120,7 @@ int main(int argc, char** argv) {
   iw_options.probe.mss_secondary = 0;
   iw_options.max_outstanding = 2'000'000;
   util::Stopwatch iw_watch;
-  const auto iw = analysis::run_iw_scan(*world.network, *world.internet, iw_options);
+  const auto iw = bench::run_scan_or_exit(*world.network, *world.internet, iw_options);
   const double iw_wall_seconds = iw_watch.elapsed_seconds();
   const auto iw_summary = analysis::summarize(iw.records);
 
@@ -205,7 +205,7 @@ int main(int argc, char** argv) {
     options.shards = shards;
     util::Stopwatch watch;
     const auto output =
-        analysis::run_iw_scan(*fresh.network, *fresh.internet, options);
+        bench::run_scan_or_exit(*fresh.network, *fresh.internet, options);
     sweeps.push_back(Sweep{shards, output.records.size(), watch.elapsed_seconds()});
   }
 

@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   bench::print_header("§4.2: IW defined by byte limit (dual-MSS scan)", "Section 4.2");
   auto world = bench::make_world(flags);
 
-  const auto output = analysis::run_iw_scan(
+  const auto output = bench::run_scan_or_exit(
       *world.network, *world.internet,
       bench::scan_options(flags, core::ProbeProtocol::Http));
 

@@ -232,13 +232,13 @@ int main(int argc, char** argv) {
         bench::scan_options(flags, core::ProbeProtocol::Http);
     options.rate_pps = 100'000;
     const auto in_ram =
-        analysis::run_iw_scan(*in_ram_world.network, *in_ram_world.internet, options);
+        bench::run_scan_or_exit(*in_ram_world.network, *in_ram_world.internet, options);
 
     auto spill_world = make_scan_world(flags, scan_scale);
     options.spill_dir = (dir / "e2e").string();
     options.spill_segment_bytes = 1u << 14;  // many segments, small scan
     const auto spilled =
-        analysis::run_iw_scan(*spill_world.network, *spill_world.internet, options);
+        bench::run_scan_or_exit(*spill_world.network, *spill_world.internet, options);
 
     std::vector<core::HostScanRecord> merged;
     if (!store::read_merged(spilled.spill_files, merged, &error)) {

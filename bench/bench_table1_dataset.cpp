@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
   std::vector<core::HostScanRecord> tls_records;
 
   for (const Row& row : rows) {
-    const auto output = analysis::run_iw_scan(
+    const auto output = bench::run_scan_or_exit(
         *world.network, *world.internet, bench::scan_options(flags, row.protocol));
     const auto summary = analysis::summarize(output.records);
     total_packets += output.engine.packets_sent;

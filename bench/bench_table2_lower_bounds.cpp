@@ -28,8 +28,8 @@ int main(int argc, char** argv) {
 
   for (const auto protocol : {core::ProbeProtocol::Http, core::ProbeProtocol::Tls}) {
     const bool is_http = protocol == core::ProbeProtocol::Http;
-    const auto output = analysis::run_iw_scan(*world.network, *world.internet,
-                                              bench::scan_options(flags, protocol));
+    const auto output = bench::run_scan_or_exit(*world.network, *world.internet,
+                                                bench::scan_options(flags, protocol));
     const auto bounds = analysis::few_data_lower_bounds(output.records);
     const auto& paper = is_http ? paper_http : paper_tls;
 

@@ -107,6 +107,10 @@ int main(int argc, char** argv) {
   // everywhere scan restricted to that sliver.
   options.two_phase = flags.boolean("two-phase");
   const auto output = analysis::run_iw_scan(network, internet, options);
+  if (!output.error.empty()) {  // e.g. --spill-dir names a file or the disk filled
+    std::fprintf(stderr, "quickstart: %s\n", output.error.c_str());
+    return 1;
+  }
   if (options.two_phase) {
     std::printf("phase 1 swept %llu addresses: %llu responsive, %llu with "
                 "port 80 closed, %llu banners; %llu promoted to phase 2\n",

@@ -1,60 +1,15 @@
 #include "analysis/scan_runner.hpp"
 
-#include <utility>
-
 namespace iwscan::analysis {
 
 ScanOutput run_iw_scan(sim::Network& network, model::InternetModel& internet,
                        const ScanOptions& options) {
-  exec::ScanJob job;
-  job.probe = options.probe;
+  exec::ScanJob job = options;
   job.probe.protocol = options.protocol;
   job.probe.port = options.protocol == core::ProbeProtocol::Http ? 80 : 443;
-  job.rate_pps = options.rate_pps;
-  job.sample_fraction = options.sample_fraction;
-  job.scan_seed = options.scan_seed;
-  job.max_outstanding = options.max_outstanding;
-  job.budget = options.budget;
   job.allow = options.popular_space ? internet.registry().popular_space()
                                     : internet.registry().scan_space();
-  job.block = options.blocklist;
-  job.shards = options.shards;
-  job.process_shard = options.process_shard;
-  job.process_shards = options.process_shards;
-  job.spill_dir = options.spill_dir;
-  job.spill_segment_bytes = options.spill_segment_bytes;
-  job.progress = options.progress;
-  job.progress_interval = options.progress_interval;
-
-  ScanOutput output;
-  if (options.two_phase) {
-    exec::TwoPhaseJob two_phase;
-    two_phase.scan = std::move(job);
-    two_phase.sweep_rate_pps = options.sweep_rate_pps;
-    two_phase.max_promoted_hosts = options.max_promoted_hosts;
-    exec::TwoPhaseRunner runner(std::move(two_phase));
-    exec::TwoPhaseResult result = runner.run(network, internet);
-    output.records = std::move(result.records);
-    output.engine = result.engine;
-    output.duration = result.duration;
-    output.address_space = result.address_space;
-    output.sweep_records = std::move(result.sweep_records);
-    output.sweep = result.sweep;
-    output.promoted = result.promoted;
-    output.truncated = result.truncated;
-    output.spill_files = std::move(result.spill_files);
-    output.sweep_spill_files = std::move(result.sweep_spill_files);
-    return output;
-  }
-
-  exec::ParallelScanRunner runner(std::move(job));
-  exec::ScanResult result = runner.run(network, internet);
-  output.records = std::move(result.records);
-  output.engine = result.engine;
-  output.duration = result.duration;
-  output.address_space = result.address_space;
-  output.spill_files = std::move(result.spill_files);
-  return output;
+  return exec::run_scan(job, network, internet);
 }
 
 }  // namespace iwscan::analysis

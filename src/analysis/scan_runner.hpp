@@ -3,74 +3,25 @@
 // touches (see examples/quickstart.cpp).
 #pragma once
 
-#include <cstddef>
-#include <string>
-#include <vector>
-
 #include "core/host_prober.hpp"
-#include "exec/parallel_runner.hpp"
-#include "exec/two_phase.hpp"
+#include "exec/executor.hpp"
 #include "inetmodel/internet.hpp"
-#include "scanner/scan_engine.hpp"
 
 namespace iwscan::analysis {
 
-struct ScanOptions {
+/// An exec::ScanJob plus the two choices run_iw_scan resolves for it: the
+/// probe protocol (which sets probe.protocol and probe.port) and which of
+/// the model's address spaces to scan (which sets `allow`). run_iw_scan
+/// overwrites those three inherited fields; set `protocol` and
+/// `popular_space` instead.
+struct ScanOptions : exec::ScanJob {
   core::ProbeProtocol protocol = core::ProbeProtocol::Http;
-  double rate_pps = 150'000;          // paper's moderate rate (§3.4)
-  double sample_fraction = 1.0;       // §4.1: 0.01 = the "1% is enough" mode
-  std::uint64_t scan_seed = 7;
-  std::size_t max_outstanding = 20'000;
-  scan::SessionBudget budget;         // per-session graceful-degradation caps
-  bool popular_space = false;         // Alexa-style scan (Fig. 4)
-  std::vector<net::Cidr> blocklist;   // never probed (ZMap ethics model)
-  core::IwScanConfig probe;           // port is derived from protocol
-  // Parallel execution (exec::ParallelScanRunner): >1 splits the scan over
-  // that many worker threads; the merged output is byte-identical for any
-  // value on a fresh world with the same seeds.
-  std::uint64_t shards = 1;
-  exec::ProgressFn progress;               // optional live-progress callback
-  std::uint64_t progress_interval = 1024;  // merged records between snapshots
-  // Two-phase mode (exec::TwoPhaseRunner): a stateless ZBanner-style sweep
-  // covers the whole space first and only responsive hosts are promoted
-  // into the stateful IW estimator. Output records are byte-identical to a
-  // stateful-everywhere scan restricted to the responsive set.
-  bool two_phase = false;
-  double sweep_rate_pps = 600'000;  // phase-1 SYN rate (global)
-  // >0 caps phase 2 at the K responsive hosts with the lowest global
-  // permutation-cycle indices (deterministic truncation, any shard count).
-  std::uint64_t max_promoted_hosts = 0;
-  // Multi-process operator mode (ZMap-style --shard i/N): this process owns
-  // the permutation residue process_shard (mod process_shards); the merged
-  // output across all N processes equals a single-process run. Processes
-  // must share scan_seed (tools/iwmerge enforces this on merge).
-  std::uint64_t process_shard = 0;
-  std::uint64_t process_shards = 1;
-  // Bounded-memory result path: when non-empty, records stream into
-  // fixed-size columnar spill segments under this directory instead of
-  // ScanOutput::records — RSS stays O(spill_segment_bytes) per worker, not
-  // O(targets). Read back with store::open_merge or tools/iwmerge.
-  std::string spill_dir;
-  std::size_t spill_segment_bytes = 1u << 20;
+  bool popular_space = false;  // Alexa-style scan (Fig. 4)
 };
 
-struct ScanOutput {
-  std::vector<core::HostScanRecord> records;
-  scan::EngineStats engine;
-  sim::SimTime duration{};
-  std::uint64_t address_space = 0;  // size of the allowlist
-  // Two-phase mode only (empty/zero otherwise):
-  std::vector<scan::SweepRecord> sweep_records;  // phase-1 output, cycle order
-  scan::SweepStats sweep;
-  std::uint64_t promoted = 0;   // responsive hosts handed to phase 2
-  std::uint64_t truncated = 0;  // responsive hosts dropped by the cap
-  // Spill mode only (records/sweep_records stay empty): per-shard spill
-  // files, shard order. analysis::summarize_spill reads them back merged.
-  std::vector<std::string> spill_files;
-  std::vector<std::string> sweep_spill_files;
-};
+using ScanOutput = exec::ScanResult;
 
-/// Runs the scan to completion on the network's event loop.
+/// Runs the scan to completion (see exec::run_scan for the worlds used).
 [[nodiscard]] ScanOutput run_iw_scan(sim::Network& network, model::InternetModel& internet,
                                      const ScanOptions& options);
 

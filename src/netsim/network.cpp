@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "util/logging.hpp"
-
 namespace iwscan::sim {
 
 const PathConfig& Network::path_for(net::IPv4Address remote) const {

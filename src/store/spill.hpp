@@ -183,7 +183,8 @@ class SpillWriter {
   /// wire codecs into reused scratch buffers, CRC it, and hand it to the
   /// buffered file sink in two writes.
   IWSCAN_HOT_BOUNDARY void flush_segment() {
-    if (count_ == 0 || !ok_) return;
+    if (!ok_) count_ = 0;  // a failed file drops records; close() reports it
+    if (count_ == 0) return;
     std::sort(buffer_.begin(),
               buffer_.begin() + static_cast<std::ptrdiff_t>(count_),
               [](const Tagged& a, const Tagged& b) { return a.cycle < b.cycle; });

@@ -44,7 +44,7 @@ analysis::ScanOutput run_scan(FreshWorld& world) {
   options.protocol = core::ProbeProtocol::Http;
   options.rate_pps = 40'000;
   options.scan_seed = 7;
-  options.shards = 1;  // one loop; no ThreadPool noise in the counter
+  options.shards = 1;  // one worker: its pool thread adds only O(1) allocations
   return analysis::run_iw_scan(world.network, world.internet, options);
 }
 

@@ -5,6 +5,7 @@
 // the two-phase executors. This is the contract tools/iwmerge relies on.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -202,6 +203,74 @@ TEST(ExecSpill, CappedTwoPhaseSpillKeepsDeterministicTruncation) {
   ASSERT_TRUE(store::read_merged<core::HostScanRecord>(host_files, merged, &error))
       << error;
   expect_record_identity(merged, in_ram.records, "capped two-phase");
+  fs::remove_all(dir);
+}
+
+TEST(ExecSpill, ProgressCountsSpilledRecords) {
+  // Workers report completed records in their progress ticks whatever their
+  // sink, so a spilled sharded scan ends with every record counted.
+  for (const bool two_phase : {false, true}) {
+    const std::string label = two_phase ? "two-phase" : "stateful";
+    const fs::path dir = scratch_dir("progress");
+    analysis::ScanOptions options = base_options(2);
+    options.two_phase = two_phase;
+    options.sweep_rate_pps = 400'000;
+    options.spill_dir = dir.string();
+    options.progress_interval = 16;
+    std::vector<ProgressSnapshot> snapshots;
+    options.progress = [&snapshots](const ProgressSnapshot& snap) {
+      snapshots.push_back(snap);
+    };
+    FreshWorld world;
+    const analysis::ScanOutput output =
+        analysis::run_iw_scan(world.network, world.internet, options);
+    ASSERT_TRUE(output.error.empty()) << label << ": " << output.error;
+
+    std::vector<core::HostScanRecord> merged;
+    std::string error;
+    ASSERT_TRUE(
+        store::read_merged<core::HostScanRecord>(output.spill_files, merged, &error))
+        << label << ": " << error;
+    ASSERT_FALSE(merged.empty()) << label;
+    ASSERT_FALSE(snapshots.empty()) << label;
+    const ProgressSnapshot& final_snap = snapshots.back();
+    EXPECT_EQ(final_snap.shards_done, 2u) << label;
+    EXPECT_EQ(final_snap.records_merged, merged.size()) << label;
+    EXPECT_EQ(final_snap.outstanding, 0u) << label;
+    fs::remove_all(dir);
+  }
+}
+
+TEST(ExecSpill, UnwritableSpillDirIsAnErrorNotAnAbort) {
+  // A spill_dir that names a regular file cannot hold spill files: the
+  // scan must finish and say so, for every worker count and executor mode.
+  const fs::path dir = scratch_dir("unwritable");
+  const fs::path file = dir / "not-a-directory";
+  std::FILE* handle = std::fopen(file.string().c_str(), "w");
+  ASSERT_NE(handle, nullptr);
+  std::fclose(handle);
+  for (const bool capped : {false, true}) {
+    for (const std::uint64_t shards : {1u, 2u}) {
+      const std::string label = std::string(capped ? "capped two-phase" : "stateful") +
+                                ", shards=" + std::to_string(shards);
+      analysis::ScanOptions options = base_options(shards);
+      options.spill_dir = file.string();
+      options.spill_segment_bytes = 1u << 12;  // fill the writer's buffer often
+      if (capped) {
+        options.two_phase = true;
+        options.sweep_rate_pps = 400'000;
+        options.max_promoted_hosts = 64;
+      }
+      FreshWorld world;
+      const analysis::ScanOutput output =
+          analysis::run_iw_scan(world.network, world.internet, options);
+      EXPECT_FALSE(output.error.empty()) << label;
+      EXPECT_NE(output.error.find(file.string()), std::string::npos)
+          << label << ": " << output.error;
+      EXPECT_TRUE(output.spill_files.empty()) << label;
+      EXPECT_GT(output.engine.targets_finished, 0u) << label;
+    }
+  }
   fs::remove_all(dir);
 }
 

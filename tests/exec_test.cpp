@@ -10,7 +10,7 @@
 
 #include "analysis/scan_runner.hpp"
 #include "exec/channel.hpp"
-#include "exec/parallel_runner.hpp"
+#include "exec/executor.hpp"
 #include "exec/shard_plan.hpp"
 #include "exec/thread_pool.hpp"
 #include "inetmodel/internet.hpp"
@@ -349,8 +349,7 @@ TEST(ParallelScanRunner, MoreShardsThanTargetsStillCoversEverything) {
     job.scan_seed = 5;
     job.allow = {*net::Cidr::parse("10.0.0.0/28")};
     job.shards = shards;
-    ParallelScanRunner runner(std::move(job));
-    return runner.run(world.network, world.internet);
+    return run_scan(job, world.network, world.internet);
   };
   const ScanResult baseline = run(1);
   const ScanResult sharded = run(8);

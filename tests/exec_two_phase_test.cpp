@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "analysis/scan_runner.hpp"
-#include "exec/two_phase.hpp"
+#include "exec/executor.hpp"
 #include "inetmodel/adversarial.hpp"
 #include "inetmodel/internet.hpp"
 #include "scanner/stateless.hpp"
@@ -183,7 +183,7 @@ TEST(TwoPhaseRunner, MaxPromotedHostsTruncatesToLowestCycleIndices) {
   }
 
   // The truncation is global: any shard count picks the same K hosts.
-  for (const std::uint64_t shards : {2u, 4u}) {
+  for (const std::uint64_t shards : {2u, 4u, 16u}) {
     const analysis::ScanOutput sharded = run_two_phase(shards, cap);
     expect_identical(sharded, capped, shards);
   }

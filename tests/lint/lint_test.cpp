@@ -367,6 +367,43 @@ TEST(IwlintTaint, ClockBehindNetsimAllowlistIsStillTainted) {
   EXPECT_NE(findings[0].message.find("run_iw_scan"), std::string::npos);
 }
 
+TEST(IwlintTaint, ExecutorEntryPointIsAScanRoot) {
+  // Library users may call exec::run_scan directly, bypassing run_iw_scan:
+  // a clock read reachable only from the executor is still tainted, and a
+  // same-named function outside exec:: is not a root.
+  const std::vector<SourceFile> program = {
+      {"src/netsim/clockutil.cpp",
+       "namespace iwscan::sim {\n"
+       "long now_ns() {\n"
+       "  return std::chrono::steady_clock::now().time_since_epoch().count();\n"
+       "}\n"
+       "}  // namespace iwscan::sim\n"},
+      {"src/exec/executor.cpp",
+       "namespace iwscan::exec {\n"
+       "int run_scan() { return static_cast<int>(now_ns()); }\n"
+       "}  // namespace iwscan::exec\n"}};
+  const auto findings = lint_program(program);
+  ASSERT_EQ(findings.size(), 1u)
+      << (findings.empty() ? "" : iwscan::lint::format_text(findings.front()));
+  EXPECT_EQ(findings[0].rule, "determinism-taint");
+  EXPECT_EQ(findings[0].file, "src/netsim/clockutil.cpp");
+  // The finding and --explain name the same roots.
+  for (const std::string_view root : {"run_iw_scan", "exec::run_scan"}) {
+    EXPECT_NE(findings[0].message.find(root), std::string::npos) << root;
+    EXPECT_NE(iwscan::lint::rule_explanation("determinism-taint").find(root),
+              std::string_view::npos)
+        << root;
+  }
+
+  const std::vector<SourceFile> elsewhere = {
+      program[0],
+      {"src/analysis/other.cpp",
+       "namespace iwscan::analysis {\n"
+       "int run_scan() { return static_cast<int>(now_ns()); }\n"
+       "}  // namespace iwscan::analysis\n"}};
+  EXPECT_EQ(count_rule(lint_program(elsewhere), "determinism-taint"), 0);
+}
+
 TEST(IwlintTaint, QuarantinedSinksAreOpaque) {
   // The same clock read inside src/util/stopwatch.cpp is the sanctioned
   // home for wall-clock access; reaching it taints nothing.
