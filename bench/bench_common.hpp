@@ -12,6 +12,7 @@
 
 #include "analysis/scan_runner.hpp"
 #include "analysis/table_writer.hpp"
+#include "exec/shard_plan.hpp"
 #include "inetmodel/internet.hpp"
 #include "util/flags.hpp"
 #include "util/strings.hpp"
@@ -42,7 +43,8 @@ inline void define_common_flags(util::Flags& flags) {
   flags.define_bool("csv", false, "emit CSV instead of aligned tables");
 }
 
-/// Parse flags; on --help or error prints and exits the process.
+/// Parse flags; on --help, a parse error or an unsupported --scale prints
+/// and exits the process.
 inline void parse_or_exit(util::Flags& flags, int argc, char** argv) {
   if (!flags.parse(argc, argv)) {
     std::fprintf(stderr, "%s\n%s", flags.error().c_str(),
@@ -52,6 +54,11 @@ inline void parse_or_exit(util::Flags& flags, int argc, char** argv) {
   if (flags.help_requested()) {
     std::printf("%s", flags.usage(argv[0]).c_str());
     std::exit(0);
+  }
+  if (!model::scale_supported(flags.u64("scale"))) {
+    std::fprintf(stderr, "--scale must be in [%d, %d]\n%s", model::kMinScaleLog2,
+                 model::kMaxScaleLog2, flags.usage(argv[0]).c_str());
+    std::exit(2);
   }
 }
 
@@ -75,14 +82,10 @@ inline analysis::ScanOptions scan_options(const util::Flags& flags,
   options.scan_seed = flags.u64("scan-seed");
   options.shards = flags.u64("shards");
   options.spill_dir = flags.str("spill-dir");
-  const auto parts = util::split(flags.str("shard"), '/');
-  if (parts.size() == 2) {
-    const auto i = util::parse_u64(parts[0]);
-    const auto n = util::parse_u64(parts[1]);
-    if (i.has_value() && n.has_value() && *n > 0 && *i < *n) {
-      options.process_shard = *i;
-      options.process_shards = *n;
-    }
+  if (!exec::parse_shard_spec(flags.str("shard"), options.process_shard,
+                              options.process_shards)) {
+    std::fprintf(stderr, "--shard must be i/N with i < N\n");
+    std::exit(2);
   }
   return options;
 }

@@ -19,7 +19,7 @@
 #define IWSCAN_COUNT_ALLOCATIONS
 #include "util/alloc_stats.hpp"
 
-#include "core/estimator.hpp"
+#include "core/direct_probe.hpp"
 #include "httpd/http_server.hpp"
 #include "inetmodel/censys_certs.hpp"
 #include "netbase/checksum.hpp"
@@ -182,25 +182,6 @@ BENCHMARK(BM_NetworkPacketDelivery)->Arg(0)->Arg(536)->Arg(1460);
 
 void BM_EstimatorConnection(benchmark::State& state) {
   // One complete Fig.-1 estimation against an IW10 host, end to end.
-  struct Services final : scan::SessionServices, sim::Endpoint {
-    sim::Network& network;
-    std::function<void(const net::Datagram&)> handler;
-    std::uint16_t port = 40000;
-    std::uint64_t seed = 5;
-    explicit Services(sim::Network& n) : network(n) {}
-    void handle_packet(net::PacketView bytes) override {
-      const auto d = net::decode_datagram(bytes);
-      if (d && handler) handler(*d);
-    }
-    void send_packet(net::Bytes bytes) override { network.send(std::move(bytes)); }
-    sim::EventLoop& loop() override { return network.loop(); }
-    net::IPv4Address scanner_address() const override {
-      return net::IPv4Address{192, 0, 2, 1};
-    }
-    std::uint16_t allocate_port(net::IPv4Address) override { return port++; }
-    std::uint64_t session_seed(net::IPv4Address) override { return seed += 12345; }
-  };
-
   std::uint64_t connections = 0;
   const std::uint64_t allocs_before = util::alloc_stats::allocations();
   for (auto _ : state) {
@@ -214,19 +195,11 @@ void BM_EstimatorConnection(benchmark::State& state) {
     host.listen(80, http::HttpServerApp::factory(web));
     network.attach(net::IPv4Address{10, 0, 0, 1}, &host);
 
-    Services services(network);
-    network.attach(services.scanner_address(), &services);
-    bool done = false;
-    core::EstimatorConfig config;
-    core::IwEstimator estimator(
-        services, net::IPv4Address{10, 0, 0, 1}, 80, config,
-        net::to_bytes("GET / HTTP/1.1\r\nHost: 10.0.0.1\r\nConnection: close\r\n\r\n"),
-        [&](const core::ConnObservation&) { done = true; });
-    services.handler = [&](const net::Datagram& d) { estimator.on_datagram(d); };
-    estimator.start();
-    while (!done && loop.step()) {
-    }
-    benchmark::DoNotOptimize(done);
+    core::DirectServices services(network);
+    const core::ConnObservation observation = core::estimate_connection(
+        services, net::IPv4Address{10, 0, 0, 1}, 80, core::EstimatorConfig{},
+        net::to_bytes("GET / HTTP/1.1\r\nHost: 10.0.0.1\r\nConnection: close\r\n\r\n"));
+    benchmark::DoNotOptimize(observation);
     ++connections;
   }
   const std::uint64_t allocs = util::alloc_stats::allocations() - allocs_before;

@@ -7,8 +7,7 @@
 //       responses would be misclassified as Success).
 #include "bench_common.hpp"
 
-#include "core/estimator.hpp"
-#include "core/host_prober.hpp"
+#include "core/direct_probe.hpp"
 #include "httpd/http_server.hpp"
 #include "tcpstack/host.hpp"
 
@@ -16,55 +15,10 @@ using namespace iwscan;
 
 namespace {
 
-// A self-contained two-node testbed (scanner services + one host).
-class MiniServices final : public scan::SessionServices, public sim::Endpoint {
- public:
-  explicit MiniServices(sim::Network& network) : network_(network) {
-    network_.attach(net::IPv4Address{192, 0, 2, 1}, this);
-  }
-  ~MiniServices() override { network_.detach(net::IPv4Address{192, 0, 2, 1}); }
-  void set_handler(std::function<void(const net::Datagram&)> handler) {
-    handler_ = std::move(handler);
-  }
-  void handle_packet(net::PacketView bytes) override {
-    const auto datagram = net::decode_datagram(bytes);
-    if (datagram && handler_) handler_(*datagram);
-  }
-  void send_packet(net::Bytes bytes) override { network_.send(std::move(bytes)); }
-  sim::EventLoop& loop() override { return network_.loop(); }
-  net::IPv4Address scanner_address() const override {
-    return net::IPv4Address{192, 0, 2, 1};
-  }
-  std::uint16_t allocate_port(net::IPv4Address) override { return port_++; }
-  std::uint64_t session_seed(net::IPv4Address) override {
-    return seed_ += 0x9e3779b97f4a7c15ULL;
-  }
-
- private:
-  sim::Network& network_;
-  std::function<void(const net::Datagram&)> handler_;
-  std::uint16_t port_ = 40000;
-  std::uint64_t seed_ = 17;
-};
-
-struct Probe {
-  core::HostScanRecord record;
-};
-
 core::HostScanRecord probe_once(sim::Network& network, net::IPv4Address target,
                                 const core::IwScanConfig& config) {
-  MiniServices services(network);
-  core::HostScanRecord record;
-  bool done = false;
-  core::HostProber prober(services, target, config,
-                          [&](const core::HostScanRecord& r) { record = r; },
-                          [&] { done = true; });
-  services.set_handler(
-      [&](const net::Datagram& datagram) { prober.on_datagram(datagram); });
-  prober.start();
-  while (!done && network.loop().step()) {
-  }
-  return record;
+  core::DirectServices services(network);
+  return core::probe_host(services, target, config);
 }
 
 struct HostSetup {

@@ -27,6 +27,11 @@ int main(int argc, char** argv) {
     std::printf("%s", flags.usage(argv[0]).c_str());
     return 0;
   }
+  if (!model::scale_supported(flags.u64("scale"))) {
+    std::fprintf(stderr, "--scale must be in [%d, %d]\n%s", model::kMinScaleLog2,
+                 model::kMaxScaleLog2, flags.usage(argv[0]).c_str());
+    return 2;
+  }
 
   sim::EventLoop loop;
   sim::Network network(loop, 2);

@@ -10,11 +10,10 @@
 #include <cstdio>
 #include <fstream>
 
-#include "core/estimator.hpp"
+#include "core/direct_probe.hpp"
 #include "httpd/http_server.hpp"
 #include "netsim/capture.hpp"
 #include "netsim/network.hpp"
-#include "scanner/scan_engine.hpp"
 #include "tcpstack/host.hpp"
 #include "util/bytes.hpp"
 #include "util/flags.hpp"
@@ -24,66 +23,22 @@ namespace {
 
 using namespace iwscan;
 
-/// SessionServices bound directly to the network, with a packet tracer.
-class TracingServices final : public scan::SessionServices, public sim::Endpoint {
- public:
-  TracingServices(sim::Network& network, net::IPv4Address self)
-      : network_(network), self_(self) {
-    network_.attach(self_, this);
+void trace(sim::SimTime now, const char* direction, const net::TcpSegment& segment) {
+  std::string flags;
+  if (segment.tcp.has(net::kSyn)) flags += "SYN ";
+  if (segment.tcp.has(net::kAck)) flags += "ACK ";
+  if (segment.tcp.has(net::kFin)) flags += "FIN ";
+  if (segment.tcp.has(net::kRst)) flags += "RST ";
+  if (segment.tcp.has(net::kPsh)) flags += "PSH ";
+  std::printf("%8.3f ms %s %-18s seq=%-10u ack=%-10u win=%-5u len=%zu",
+              std::chrono::duration<double, std::milli>(now).count(), direction,
+              flags.c_str(), segment.tcp.seq, segment.tcp.ack, segment.tcp.window,
+              segment.payload.size());
+  if (const auto mss = net::find_mss(segment.tcp.options)) {
+    std::printf(" mss=%u", *mss);
   }
-  ~TracingServices() override { network_.detach(self_); }
-
-  void set_handler(std::function<void(const net::Datagram&)> handler) {
-    handler_ = std::move(handler);
-  }
-
-  void handle_packet(net::PacketView bytes) override {
-    const auto datagram = net::decode_datagram(bytes);
-    if (!datagram) return;
-    if (const auto* segment = std::get_if<net::TcpSegment>(&*datagram)) {
-      trace("<-", *segment);
-    }
-    if (handler_) handler_(*datagram);
-  }
-
-  void send_packet(net::Bytes bytes) override {
-    if (const auto datagram = net::decode_datagram(bytes)) {
-      if (const auto* segment = std::get_if<net::TcpSegment>(&*datagram)) {
-        trace("->", *segment);
-      }
-    }
-    network_.send(std::move(bytes));
-  }
-
-  sim::EventLoop& loop() override { return network_.loop(); }
-  net::IPv4Address scanner_address() const override { return self_; }
-  std::uint16_t allocate_port(net::IPv4Address) override { return port_++; }
-  std::uint64_t session_seed(net::IPv4Address) override { return seed_ += 7919; }
-
- private:
-  void trace(const char* direction, const net::TcpSegment& segment) {
-    std::string flags;
-    if (segment.tcp.has(net::kSyn)) flags += "SYN ";
-    if (segment.tcp.has(net::kAck)) flags += "ACK ";
-    if (segment.tcp.has(net::kFin)) flags += "FIN ";
-    if (segment.tcp.has(net::kRst)) flags += "RST ";
-    if (segment.tcp.has(net::kPsh)) flags += "PSH ";
-    std::printf("%8.3f ms %s %-18s seq=%-10u ack=%-10u win=%-5u len=%zu",
-                std::chrono::duration<double, std::milli>(loop().now()).count(),
-                direction, flags.c_str(), segment.tcp.seq, segment.tcp.ack,
-                segment.tcp.window, segment.payload.size());
-    if (const auto mss = net::find_mss(segment.tcp.options)) {
-      std::printf(" mss=%u", *mss);
-    }
-    std::printf("\n");
-  }
-
-  sim::Network& network_;
-  net::IPv4Address self_;
-  std::function<void(const net::Datagram&)> handler_;
-  std::uint16_t port_ = 40000;
-  std::uint64_t seed_ = 1;
-};
+  std::printf("\n");
+}
 
 }  // namespace
 
@@ -109,9 +64,8 @@ int main(int argc, char** argv) {
   sim::PathConfig path;
   path.latency = sim::msec(20);
   network.set_default_path(path);
-
+  const bool write_pcap = !flags.str("pcap").empty();
   sim::PacketCapture capture;
-  if (!flags.str("pcap").empty()) capture.attach(network);
 
   // The host under test.
   tcp::StackConfig stack;
@@ -127,8 +81,17 @@ int main(int argc, char** argv) {
   host.listen(80, http::HttpServerApp::factory(web));
   network.attach(host_ip, &host);
 
-  // One estimation connection, traced.
-  TracingServices services(network, net::IPv4Address{192, 0, 2, 1});
+  // One estimation connection, traced: outgoing packets at the network's
+  // injection tap (which also feeds --pcap), incoming ones in the handler.
+  core::DirectServices services(network);
+  network.set_tap([&](net::PacketView bytes) {
+    if (write_pcap) capture.record(loop.now(), bytes);
+    const auto datagram = net::decode_datagram(bytes);
+    const auto* segment = datagram ? std::get_if<net::TcpSegment>(&*datagram) : nullptr;
+    if (segment != nullptr && segment->ip.src == core::DirectServices::kAddress) {
+      trace(loop.now(), "->", *segment);
+    }
+  });
   core::EstimatorConfig config;
   config.announced_mss = static_cast<std::uint16_t>(flags.u64("mss"));
 
@@ -148,7 +111,12 @@ int main(int argc, char** argv) {
         result = observation;
         done = true;
       });
-  services.set_handler([&](const net::Datagram& d) { estimator.on_datagram(d); });
+  services.set_handler([&](const net::Datagram& datagram) {
+    if (const auto* segment = std::get_if<net::TcpSegment>(&datagram)) {
+      trace(loop.now(), "<-", *segment);
+    }
+    estimator.on_datagram(datagram);
+  });
   estimator.start();
   while (!done && loop.step()) {
   }
@@ -164,7 +132,7 @@ int main(int argc, char** argv) {
                 result.iw_estimate);
   }
 
-  if (!flags.str("pcap").empty()) {
+  if (write_pcap) {
     const auto pcap = capture.pcap();
     std::ofstream file(flags.str("pcap"), std::ios::binary);
     const std::string_view text = iwscan::util::as_text(pcap);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/strings.hpp"
+
 namespace iwscan::exec {
 
 ShardPlan ShardPlan::make(std::uint64_t total_shards, double rate_pps,
@@ -19,6 +21,18 @@ ShardPlan ShardPlan::make(std::uint64_t total_shards, double rate_pps,
     plan.shards.push_back(spec);
   }
   return plan;
+}
+
+bool parse_shard_spec(std::string_view text, std::uint64_t& shard,
+                      std::uint64_t& total) {
+  const auto parts = util::split(text, '/');
+  if (parts.size() != 2) return false;
+  const auto i = util::parse_u64(parts[0]);
+  const auto n = util::parse_u64(parts[1]);
+  if (!i.has_value() || !n.has_value() || *n == 0 || *i >= *n) return false;
+  shard = *i;
+  total = *n;
+  return true;
 }
 
 }  // namespace iwscan::exec

@@ -11,6 +11,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 namespace iwscan::exec {
@@ -30,5 +31,11 @@ struct ShardPlan {
   [[nodiscard]] static ShardPlan make(std::uint64_t total_shards, double rate_pps,
                                       std::size_t max_outstanding);
 };
+
+/// Parses a process-shard spec "i/N" (this process scans stride i of N)
+/// into `shard` and `total`. Returns false, leaving both untouched, unless
+/// the text is exactly two unsigned integers with i < N.
+[[nodiscard]] bool parse_shard_spec(std::string_view text, std::uint64_t& shard,
+                                    std::uint64_t& total);
 
 }  // namespace iwscan::exec

@@ -266,7 +266,9 @@ class RawAdversary final : public sim::Endpoint {
     segment.tcp.flags = flags;
     segment.tcp.window = window;
     segment.payload = std::move(payload);
-    network_.send(net::encode(segment));
+    net::PacketBuf packet = network_.pool().acquire();
+    net::encode_into(segment, packet.bytes());
+    network_.send(std::move(packet));
   }
 
   [[nodiscard]] sim::EventLoop& loop() noexcept { return network_.loop(); }

@@ -263,7 +263,7 @@ struct AsSpec {
 }  // namespace
 
 AsRegistry AsRegistry::standard(int scale_log2) {
-  IWSCAN_ASSERT(scale_log2 >= 12 && scale_log2 <= 24,
+  IWSCAN_ASSERT(scale_log2 >= kMinScaleLog2 && scale_log2 <= kMaxScaleLog2,
                 "AsRegistry::standard scale must stay within the synthetic "
                 "population's supported range");
 

@@ -25,6 +25,15 @@
 
 namespace iwscan::model {
 
+/// Supported range of the universe size (AsRegistry::standard's
+/// scale_log2, ModelConfig::scale_log2): 2^12 to 2^24 addresses.
+inline constexpr int kMinScaleLog2 = 12;
+inline constexpr int kMaxScaleLog2 = 24;
+
+[[nodiscard]] constexpr bool scale_supported(std::uint64_t scale_log2) noexcept {
+  return scale_log2 >= kMinScaleLog2 && scale_log2 <= kMaxScaleLog2;
+}
+
 enum class AsKind {
   Cloud,
   Cdn,
@@ -130,7 +139,8 @@ struct AsInfo {
 class AsRegistry {
  public:
   /// Build the standard registry in a universe of 2^scale_log2 addresses
-  /// starting at 10.0.0.0 (scale_log2 in [12, 24]; default 20 ≈ 1M).
+  /// starting at 10.0.0.0 (scale_log2 in [kMinScaleLog2, kMaxScaleLog2];
+  /// default 20 ≈ 1M).
   [[nodiscard]] static AsRegistry standard(int scale_log2 = 20);
 
   [[nodiscard]] const std::vector<AsInfo>& all() const noexcept { return ases_; }

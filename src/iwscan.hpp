@@ -55,6 +55,7 @@
 #include "scanner/syn_scan.hpp"
 #include "scanner/targets.hpp"
 
+#include "core/direct_probe.hpp"
 #include "core/estimator.hpp"
 #include "core/host_prober.hpp"
 #include "core/probe_strategy.hpp"

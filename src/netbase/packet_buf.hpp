@@ -109,20 +109,6 @@ class PacketBuf {
   /// stability readers of those handles rely on.
   [[nodiscard]] Bytes& bytes() noexcept { return block_->data; }
 
-  /// Move the bytes out (bridge to owning net::Bytes consumers); copies
-  /// when the block is shared. Leaves this handle null.
-  [[nodiscard]] Bytes take_bytes() {
-    if (block_ == nullptr) return {};
-    Bytes out;
-    if (block_->refs == 1) {
-      out = std::move(block_->data);
-    } else {
-      out.assign(block_->data.begin(), block_->data.end());
-    }
-    reset();
-    return out;
-  }
-
   void reset() noexcept {
     if (block_ != nullptr) {
       detail::release_block(block_);
@@ -171,8 +157,9 @@ class BufferPool {
     return PacketBuf{block};
   }
 
-  /// Wrap an existing byte vector (compat path for callers that still
-  /// build owned net::Bytes); its capacity joins the pool on release.
+  /// Wrap an existing byte vector (tests inject hand-built packets this
+  /// way, via Network::send(net::Bytes)); its capacity joins the pool on
+  /// release.
   [[nodiscard]] PacketBuf adopt(Bytes&& bytes) {
     PacketBuf buf = acquire();
     buf.bytes() = std::move(bytes);

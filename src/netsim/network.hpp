@@ -122,8 +122,8 @@ class Network {
   /// delivery hop then share it by handle instead of copying bytes.
   IWSCAN_HOT void send(net::PacketBuf packet);
 
-  /// Compatibility overload for callers that still build owned byte
-  /// vectors; the vector is adopted into the pool.
+  /// Test-injection overload for hand-built byte vectors; the vector is
+  /// adopted into the pool. Every sender in src/ encodes into pool().
   void send(net::Bytes bytes) { send(pool_.adopt(std::move(bytes))); }
 
   /// Recycled packet buffers for senders on this fabric (one pool per

@@ -191,11 +191,6 @@ void ScanEngine::handle_packet(net::PacketView bytes) {
   state.session->on_datagram(*datagram);
 }
 
-void ScanEngine::send_packet(net::Bytes bytes) {
-  ++stats_.packets_sent;
-  network_.send(std::move(bytes));
-}
-
 void ScanEngine::send_packet(net::PacketBuf packet) {
   ++stats_.packets_sent;
   network_.send(std::move(packet));

@@ -28,21 +28,13 @@ class ScanEngine;
 class SessionServices {
  public:
   virtual ~SessionServices() = default;
-  virtual void send_packet(net::Bytes bytes) = 0;
-  /// Pooled-buffer variant of send_packet. The default forwards to the
-  /// owned-bytes overload so lightweight test/bench implementations need
-  /// only the one method; ScanEngine overrides it to hand the buffer to
-  /// the fabric without a copy.
-  virtual void send_packet(net::PacketBuf packet) {
-    send_packet(packet.take_bytes());
-  }
-  /// Recycled buffers for outgoing packets, or nullptr when the transport
-  /// has no pool (sessions then fall back to owned-bytes encoding).
-  [[nodiscard]] virtual net::BufferPool* packet_pool() { return nullptr; }
+  /// Hand an encoded packet to the fabric. The buffer comes from
+  /// packet_pool(), so steady-state probing does not allocate per packet.
+  virtual void send_packet(net::PacketBuf packet) = 0;
+  /// Recycled buffers for outgoing packets (the fabric's pool).
+  [[nodiscard]] virtual net::BufferPool& packet_pool() = 0;
 
-  /// Encode-and-send conveniences used by the probe modules' hot paths:
-  /// route through the pooled buffer when one is available so steady-state
-  /// probing does not allocate per packet.
+  /// Encode-and-send conveniences used by the probe modules' hot paths.
   void send_packet(const net::TcpSegment& segment) { encode_and_send(segment); }
   void send_packet(const net::IcmpDatagram& datagram) { encode_and_send(datagram); }
 
@@ -61,13 +53,9 @@ class SessionServices {
  private:
   template <typename Packet>
   void encode_and_send(const Packet& packet) {
-    if (net::BufferPool* pool = packet_pool()) {
-      net::PacketBuf buf = pool->acquire();
-      net::encode_into(packet, buf.bytes());
-      send_packet(std::move(buf));
-    } else {
-      send_packet(net::encode(packet));
-    }
+    net::PacketBuf buf = packet_pool().acquire();
+    net::encode_into(packet, buf.bytes());
+    send_packet(std::move(buf));
   }
 };
 
@@ -209,11 +197,8 @@ class ScanEngine final : public sim::Endpoint, public SessionServices {
 
   // SessionServices
   using SessionServices::send_packet;  // keep the encode conveniences visible
-  void send_packet(net::Bytes bytes) override;
   void send_packet(net::PacketBuf packet) override;
-  [[nodiscard]] net::BufferPool* packet_pool() override {
-    return &network_.pool();
-  }
+  [[nodiscard]] net::BufferPool& packet_pool() override { return network_.pool(); }
   [[nodiscard]] sim::EventLoop& loop() override { return network_.loop(); }
   [[nodiscard]] net::IPv4Address scanner_address() const override {
     return config_.scanner_address;

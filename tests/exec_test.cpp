@@ -140,6 +140,21 @@ TEST(ShardPlan, ClampsDegenerateInputs) {
   }
 }
 
+TEST(ShardPlan, ParseShardSpecAcceptsOnlyIOfNWithIBelowN) {
+  std::uint64_t shard = 9;
+  std::uint64_t total = 9;
+  EXPECT_TRUE(parse_shard_spec("1/4", shard, total));
+  EXPECT_EQ(shard, 1u);
+  EXPECT_EQ(total, 4u);
+  for (const std::string_view bad : {"3/2", "1/0", "a/b", "1/2/3", ""}) {
+    shard = 9;
+    total = 9;
+    EXPECT_FALSE(parse_shard_spec(bad, shard, total)) << '"' << bad << '"';
+    EXPECT_EQ(shard, 9u) << bad;
+    EXPECT_EQ(total, 9u) << bad;
+  }
+}
+
 // --------------------------------------------------------- EngineStats ----
 
 TEST(EngineStats, AccumulationSumsCountersAndTakesTimeEnvelope) {

@@ -2,6 +2,8 @@
 // detection, redirect and long-URI escalation (§3.2, §4).
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "testbed.hpp"
 
 namespace iwscan {
@@ -196,6 +198,29 @@ TEST(HostProber, SingleMssModeSkipsSecondPass) {
   EXPECT_EQ(record.outcome, core::HostOutcome::Success);
   EXPECT_EQ(record.probes_run, 3);
   EXPECT_EQ(record.iw_segments_b, 0u);
+}
+
+TEST(DirectProbe, PooledSendsReturnEveryBufferAndStartWithTheFirstPort) {
+  std::optional<net::TcpSegment> first;  // outlives the tap that writes it
+  Testbed bed;
+  const net::IPv4Address host{10, 1, 0, 11};
+  bed.add_http_host(host, stack_with_iw(10), big_page(16'000));
+  bed.network().set_tap([&](net::PacketView bytes) {
+    if (first.has_value()) return;
+    const auto datagram = net::decode_datagram(bytes);
+    const auto* segment = datagram ? std::get_if<net::TcpSegment>(&*datagram) : nullptr;
+    if (segment != nullptr && segment->ip.src == test::kScannerIp) first = *segment;
+  });
+
+  const auto record = bed.probe_host(host, http_config());
+  bed.loop().run();  // drain parked deliveries and timers
+  EXPECT_EQ(record.outcome, core::HostOutcome::Success);
+  EXPECT_EQ(bed.network().pool().outstanding(), 0u);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_TRUE(first->tcp.has(net::kSyn));
+  EXPECT_FALSE(first->tcp.has(net::kAck));
+  EXPECT_EQ(first->ip.src, (net::IPv4Address{192, 0, 2, 1}));
+  EXPECT_EQ(first->tcp.src_port, 40000);
 }
 
 }  // namespace

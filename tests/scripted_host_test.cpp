@@ -7,7 +7,7 @@
 
 #include <unordered_map>
 
-#include "core/estimator.hpp"
+#include "core/direct_probe.hpp"
 #include "netsim/network.hpp"
 #include "testbed.hpp"
 
@@ -134,33 +134,19 @@ struct ScriptRig {
   sim::EventLoop loop;
   sim::Network network{loop, 31};
   std::unique_ptr<ScriptedServer> server;
-  std::unique_ptr<test::DirectServices> services;
+  std::unique_ptr<core::DirectServices> services;
 
   explicit ScriptRig(ScriptedServer::Script script) {
     sim::PathConfig path;
     path.latency = sim::msec(10);
     network.set_default_path(path);
     server = std::make_unique<ScriptedServer>(network, std::move(script));
-    services = std::make_unique<test::DirectServices>(network);
+    services = std::make_unique<core::DirectServices>(network);
   }
 
   core::ConnObservation estimate() {
-    core::ConnObservation result;
-    bool done = false;
-    core::EstimatorConfig config;
-    core::IwEstimator estimator(*services, kServerIp, 80, config,
-                                net::to_bytes("GET / HTTP/1.1\r\n\r\n"),
-                                [&](const core::ConnObservation& observation) {
-                                  result = observation;
-                                  done = true;
-                                });
-    services->set_handler(
-        [&](const net::Datagram& d) { estimator.on_datagram(d); });
-    estimator.start();
-    while (!done && loop.step()) {
-    }
-    services->set_handler(nullptr);
-    return result;
+    return core::estimate_connection(*services, kServerIp, 80, core::EstimatorConfig{},
+                                     net::to_bytes("GET / HTTP/1.1\r\n\r\n"));
   }
 };
 
@@ -373,23 +359,13 @@ core::HostScanRecord probe_varying(std::vector<int> bursts) {
   path.latency = sim::msec(10);
   network.set_default_path(path);
   VaryingServer server(network, std::move(bursts));
-  test::DirectServices services(network);
+  core::DirectServices services(network);
 
   core::IwScanConfig config;
   config.protocol = core::ProbeProtocol::Http;
   config.port = 80;
   config.mss_secondary = 0;  // single pass of 3 probes
-
-  core::HostScanRecord record;
-  bool done = false;
-  core::HostProber prober(services, kServerIp, config,
-                          [&](const core::HostScanRecord& r) { record = r; },
-                          [&] { done = true; });
-  services.set_handler([&](const net::Datagram& d) { prober.on_datagram(d); });
-  prober.start();
-  while (!done && loop.step()) {
-  }
-  return record;
+  return core::probe_host(services, kServerIp, config);
 }
 
 TEST(AgreementRule, ConsistentHostSucceeds) {

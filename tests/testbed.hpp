@@ -4,12 +4,10 @@
 #pragma once
 
 #include <cstdlib>
-#include <functional>
 #include <memory>
 #include <vector>
 
-#include "core/estimator.hpp"
-#include "core/host_prober.hpp"
+#include "core/direct_probe.hpp"
 #include "httpd/http_server.hpp"
 #include "inetmodel/adversarial.hpp"
 #include "inetmodel/profiles.hpp"
@@ -20,40 +18,7 @@
 
 namespace iwscan::test {
 
-inline const net::IPv4Address kScannerIp{192, 0, 2, 1};
-
-/// Minimal SessionServices bound straight to the network (no scan engine):
-/// lets tests drive one estimator / prober at a time.
-class DirectServices final : public scan::SessionServices, public sim::Endpoint {
- public:
-  explicit DirectServices(sim::Network& network) : network_(network) {
-    network_.attach(kScannerIp, this);
-  }
-  ~DirectServices() override { network_.detach(kScannerIp); }
-
-  void set_handler(std::function<void(const net::Datagram&)> handler) {
-    handler_ = std::move(handler);
-  }
-
-  void handle_packet(net::PacketView bytes) override {
-    const auto datagram = net::decode_datagram(bytes);
-    if (datagram && handler_) handler_(*datagram);
-  }
-
-  void send_packet(net::Bytes bytes) override { network_.send(std::move(bytes)); }
-  sim::EventLoop& loop() override { return network_.loop(); }
-  net::IPv4Address scanner_address() const override { return kScannerIp; }
-  std::uint16_t allocate_port(net::IPv4Address) override { return next_port_++; }
-  std::uint64_t session_seed(net::IPv4Address) override {
-    return seed_ += 0x9e3779b97f4a7c15ULL;
-  }
-
- private:
-  sim::Network& network_;
-  std::function<void(const net::Datagram&)> handler_;
-  std::uint16_t next_port_ = 40000;
-  std::uint64_t seed_ = 0x5eed;
-};
+inline constexpr net::IPv4Address kScannerIp = core::DirectServices::kAddress;
 
 class Testbed {
  public:
@@ -66,7 +31,6 @@ class Testbed {
 
   sim::EventLoop& loop() { return loop_; }
   sim::Network& network() { return network_; }
-  DirectServices& services() { return services_; }
 
   tcp::TcpHost& add_http_host(net::IPv4Address ip, const tcp::StackConfig& stack,
                               http::WebConfig web) {
@@ -89,37 +53,13 @@ class Testbed {
   /// Run one estimation connection; returns the observation.
   core::ConnObservation estimate(net::IPv4Address target, std::uint16_t port,
                                  core::EstimatorConfig config, net::Bytes request) {
-    core::ConnObservation result;
-    bool done = false;
-    core::IwEstimator estimator(services_, target, port, config, std::move(request),
-                                [&](const core::ConnObservation& observation) {
-                                  result = observation;
-                                  done = true;
-                                });
-    services_.set_handler(
-        [&](const net::Datagram& datagram) { estimator.on_datagram(datagram); });
-    estimator.start();
-    while (!done && loop_.step()) {
-    }
-    services_.set_handler(nullptr);
-    return result;
+    return core::estimate_connection(services_, target, port, config, std::move(request));
   }
 
   /// Run a full multi-probe host session; returns the host record.
   core::HostScanRecord probe_host(net::IPv4Address target,
                                   const core::IwScanConfig& config) {
-    core::HostScanRecord record;
-    bool done = false;
-    core::HostProber prober(
-        services_, target, config,
-        [&](const core::HostScanRecord& r) { record = r; }, [&] { done = true; });
-    services_.set_handler(
-        [&](const net::Datagram& datagram) { prober.on_datagram(datagram); });
-    prober.start();
-    while (!done && loop_.step()) {
-    }
-    services_.set_handler(nullptr);
-    return record;
+    return core::probe_host(services_, target, config);
   }
 
   /// Standard HTTP request the strategies would send first.
@@ -132,7 +72,7 @@ class Testbed {
  private:
   sim::EventLoop loop_;
   sim::Network network_;
-  DirectServices services_;
+  core::DirectServices services_;
   std::vector<std::unique_ptr<tcp::TcpHost>> hosts_;
 };
 
