@@ -21,6 +21,11 @@ int main(int argc, char** argv) {
   flags.define_double("fraction", 0.25,
                       "sample fraction per epoch (the low-footprint mode)");
   bench::parse_or_exit(flags, argc, argv);
+  if (!scan::sample_fraction_supported(flags.real("fraction"))) {
+    std::fprintf(stderr, "--fraction must be in (0, 1]\n%s",
+                 flags.usage(argv[0]).c_str());
+    return 2;
+  }
 
   bench::print_header("§5 extension: IW10 adoption trend over time",
                       "the §5 trend-monitoring proposal");

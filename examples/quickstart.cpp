@@ -146,6 +146,7 @@ int main(int argc, char** argv) {
 
   std::printf("\nscan took %.1f virtual seconds, %llu packets\n",
               std::chrono::duration<double>(output.duration).count(),
-              static_cast<unsigned long long>(output.engine.packets_sent));
+              static_cast<unsigned long long>(output.engine.packets_sent +
+                                              output.sweep.packets_sent));
   return 0;
 }

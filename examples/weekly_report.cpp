@@ -30,6 +30,11 @@ int main(int argc, char** argv) {
                  model::kMaxScaleLog2, flags.usage(argv[0]).c_str());
     return 2;
   }
+  if (!scan::sample_fraction_supported(flags.real("fraction"))) {
+    std::fprintf(stderr, "--fraction must be in (0, 1]\n%s",
+                 flags.usage(argv[0]).c_str());
+    return 2;
+  }
 
   sim::EventLoop loop;
   sim::Network network(loop, 4);

@@ -1,10 +1,7 @@
 #include "exec/executor.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <functional>
 #include <iterator>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -16,6 +13,7 @@
 #include "exec/shard_plan.hpp"
 #include "exec/thread_pool.hpp"
 #include "store/spill.hpp"
+#include "util/check.hpp"
 
 namespace iwscan::exec {
 
@@ -25,9 +23,6 @@ namespace {
 // the two tiers run as separate flows so phase 1 cannot perturb phase 2.
 constexpr net::IPv4Address kScannerAddress{192, 0, 2, 1};
 constexpr std::size_t kChannelCapacity = 1024;
-/// Responsive hosts buffered between the sweep and the engine before
-/// backpressure pauses the sweep's SYN pacing.
-constexpr std::size_t kPromotionQueueCapacity = 1024;
 
 template <class Record>
 struct TaggedRecord {
@@ -42,10 +37,9 @@ using Run = std::vector<TaggedRecord<Record>>;
 using PromotionList = std::vector<scan::ListTargetSource::Entry>;
 
 enum class Stage : std::uint8_t {
-  Scan,    // stateful: the engine walks the worker's stride
-  Stream,  // two-phase: the sweep walks the stride and feeds the engine live
-  Sweep,   // capped phase 1: the sweep alone
-  Probe,   // capped phase 2: the engine over a promotion list
+  Scan,   // stateful: the engine walks the worker's stride
+  Sweep,  // two-phase phase 1: the sweep walks the worker's stride
+  Probe,  // two-phase phase 2: the engine over the worker's promoted hosts
 };
 
 /// Launches and completed records since the worker's previous report.
@@ -61,8 +55,7 @@ struct WorkerDone {
   scan::EngineStats engine;
   scan::SweepStats sweep;
   sim::SimTime duration{};
-  std::uint64_t promoted = 0;  // Stream: hosts the sweep fed the engine
-  PromotionList responsive;    // Sweep: every responsive host, cycle order
+  PromotionList responsive;  // Sweep: every responsive host, cycle order
   Run<core::HostScanRecord> records;  // in-memory sinks
   Run<scan::SweepRecord> sweep_records;
   std::string spill_file;  // spill sinks
@@ -83,50 +76,6 @@ struct PrivateWorld {
     network.set_default_path(reference.default_path());
     internet.install();
   }
-};
-
-/// The live hand-off between the sweep and the engine (Stream stage).
-/// Single-threaded by construction: both endpoints live on one event loop,
-/// so push/next/close never race and need no lock.
-class PromotionSource final : public scan::TargetSource {
- public:
-  [[nodiscard]] Pull next(net::IPv4Address& target, std::uint64_t& cycle) override {
-    if (queue_.empty()) return closed_ ? Pull::Exhausted : Pull::Pending;
-    target = queue_.front().first;
-    cycle = queue_.front().second;
-    queue_.pop_front();
-    if (on_drain_) on_drain_();  // room again — un-throttle the sweep
-    return Pull::Ready;
-  }
-
-  void set_wakeup(std::function<void()> wakeup) override {
-    wakeup_ = std::move(wakeup);
-  }
-
-  void push(net::IPv4Address ip, std::uint64_t cycle) {
-    queue_.emplace_back(ip, cycle);
-    if (wakeup_) wakeup_();
-  }
-
-  /// No further pushes will ever happen (the sweep completed).
-  void close() {
-    closed_ = true;
-    if (wakeup_) wakeup_();
-  }
-
-  [[nodiscard]] bool full() const noexcept {
-    return queue_.size() >= kPromotionQueueCapacity;
-  }
-
-  void set_on_drain(std::function<void()> on_drain) {
-    on_drain_ = std::move(on_drain);
-  }
-
- private:
-  std::deque<scan::ListTargetSource::Entry> queue_;
-  bool closed_ = false;
-  std::function<void()> wakeup_;
-  std::function<void()> on_drain_;
 };
 
 /// Folds a cycle's sweep events (Responsive, then possibly Banner; or
@@ -179,6 +128,11 @@ struct Stride {
 Stride stride_of(const ScanJob& job, const ShardSpec& spec) {
   return {job.process_shard + job.process_shards * spec.shard,
           job.process_shards * spec.total_shards};
+}
+
+scan::TargetGenerator stride_targets(const ScanJob& job, Stride stride) {
+  return scan::TargetGenerator(job.allow, job.block, job.scan_seed, job.sample_fraction,
+                               stride.shard, stride.total);
 }
 
 scan::EngineConfig engine_config_for(const ScanJob& job, const ShardSpec& spec) {
@@ -263,99 +217,110 @@ class RecordSink {
   std::optional<store::SpillWriter<Record>> spill_;
 };
 
-/// One worker, one stage: drives the sweep and/or the engine over this
-/// worker's targets on `network` until both are done.
-WorkerDone run_worker(const ScanJob& job, const ShardSpec& spec, Stage stage,
-                      sim::Network& network, PromotionList promoted,
-                      BoundedChannel<Message>& channel) {
+/// Starts a sweep or an engine and steps its loop until it is done;
+/// returns the virtual time that took.
+template <class Tier>
+sim::SimTime run_to_done(Tier& tier, sim::EventLoop& loop) {
+  const sim::SimTime start = loop.now();
+  tier.start();
+  while (!tier.done() && loop.step()) {
+  }
+  return loop.now() - start;
+}
+
+/// Phase 1 on one worker: sweeps its stride, writes the sweep records and
+/// lists the responsive hosts in cycle order.
+WorkerDone sweep_worker(const ScanJob& job, const ShardSpec& spec,
+                        sim::Network& network) {
   WorkerDone done;
   done.worker = spec.shard;
   const Stride stride = stride_of(job, spec);
-  auto stride_targets = [&] {
-    return scan::TargetGenerator(job.allow, job.block, job.scan_seed,
-                                 job.sample_fraction, stride.shard, stride.total);
-  };
-
-  std::optional<scan::GeneratorTargetSource> walked;
-  PromotionSource live;
-  scan::ListTargetSource listed(std::move(promoted));
   SweepCollector collector;
-  std::optional<scan::StatelessSweep> sweep;
-  if (stage == Stage::Scan) {
-    walked.emplace(stride_targets());
-  } else if (stage != Stage::Probe) {
-    sweep.emplace(network, sweep_config_for(job, spec), stride_targets(),
-                  [&](const scan::SweepEvent& event) {
-                    collector.on_event(event);
-                    if (stage == Stage::Stream &&
-                        event.kind == scan::SweepEventKind::Responsive) {
-                      live.push(event.source, event.cycle);
-                      ++done.promoted;
-                    }
-                  });
+  scan::StatelessSweep sweep(
+      network, sweep_config_for(job, spec), stride_targets(job, stride),
+      [&](const scan::SweepEvent& event) { collector.on_event(event); });
+  done.duration = run_to_done(sweep, network.loop());
+  done.sweep = sweep.stats();
+  std::vector<scan::SweepRecord> swept = collector.take_sorted();
+  RecordSink<scan::SweepRecord> sink(job, stride, swept.size());
+  for (const scan::SweepRecord& record : swept) {
+    sink.append(record.cycle, record);
+    if (record.responsive) done.responsive.emplace_back(record.ip, record.cycle);
   }
-  if (stage == Stage::Stream) {
-    sweep->set_throttle([&live] { return live.full(); });
-    live.set_on_drain([&sweep] { sweep->wake(); });
-    sweep->set_on_complete([&live] { live.close(); });
-  }
+  sink.hand_off(done.sweep_records, done.sweep_spill_file, done.error);
+  return done;
+}
 
-  std::optional<RecordSink<core::HostScanRecord>> hosts;
-  std::optional<core::IwProbeModule> module;
-  std::optional<scan::ScanEngine> engine;
+/// A stateful scan (Scan: the worker's stride) or phase 2 (Probe: its
+/// promoted hosts) on one worker; progress ticks go to `channel`.
+WorkerDone engine_worker(const ScanJob& job, const ShardSpec& spec, Stage stage,
+                         sim::Network& network, PromotionList promoted,
+                         BoundedChannel<Message>& channel) {
+  WorkerDone done;
+  done.worker = spec.shard;
+  const Stride stride = stride_of(job, spec);
+  std::optional<scan::GeneratorTargetSource> walked;
+  if (stage == Stage::Scan) walked.emplace(stride_targets(job, stride));
+  scan::ListTargetSource listed(std::move(promoted));
+  scan::TargetSource& source =
+      walked ? static_cast<scan::TargetSource&>(*walked) : listed;
+
+  RecordSink<core::HostScanRecord> hosts(
+      job, stride,
+      walked ? expected_records(job, walked->size_hint(), stride) : listed.size_hint());
   std::unordered_map<net::IPv4Address, std::uint64_t> cycle_of;
   std::uint64_t completed = 0;
-  if (stage != Stage::Sweep) {
-    hosts.emplace(job, stride,
-                  walked ? expected_records(job, walked->size_hint(), stride)
-                         : listed.size_hint());
-    module.emplace(job.probe, [&](const core::HostScanRecord& record) {
-      const auto it = cycle_of.find(record.ip);
-      const std::uint64_t cycle = it == cycle_of.end() ? 0 : it->second;
-      if (it != cycle_of.end()) cycle_of.erase(it);  // one record per host
-      hosts->append(cycle, record);
-      ++done.tick.completed;
-      if (job.progress && job.progress_interval > 0 &&
-          ++completed % job.progress_interval == 0) {
-        channel.push(std::exchange(done.tick, Tick{}));
-      }
-    });
-    scan::TargetSource& source = walked ? static_cast<scan::TargetSource&>(*walked)
-                                 : stage == Stage::Stream
-                                     ? static_cast<scan::TargetSource&>(live)
-                                     : listed;
-    engine.emplace(network, engine_config_for(job, spec), source, *module);
-    engine->set_launch_observer([&](net::IPv4Address ip, std::uint64_t cycle) {
-      cycle_of[ip] = cycle;
-      ++done.tick.launched;
-    });
-  }
-
-  const sim::SimTime start = network.loop().now();
-  if (sweep) sweep->start();
-  if (engine) engine->start();
-  while (((sweep && !sweep->done()) || (engine && !engine->done())) &&
-         network.loop().step()) {
-  }
-  done.duration = network.loop().now() - start;
-
-  if (sweep) {
-    done.sweep = sweep->stats();
-    std::vector<scan::SweepRecord> swept = collector.take_sorted();
-    RecordSink<scan::SweepRecord> sink(job, stride, swept.size());
-    for (const scan::SweepRecord& record : swept) {
-      sink.append(record.cycle, record);
-      if (stage == Stage::Sweep && record.responsive) {
-        done.responsive.emplace_back(record.ip, record.cycle);
-      }
+  core::IwProbeModule module(job.probe, [&](const core::HostScanRecord& record) {
+    const auto it = cycle_of.find(record.ip);
+    const std::uint64_t cycle = it == cycle_of.end() ? 0 : it->second;
+    if (it != cycle_of.end()) cycle_of.erase(it);  // one record per host
+    hosts.append(cycle, record);
+    ++done.tick.completed;
+    if (job.progress && job.progress_interval > 0 &&
+        ++completed % job.progress_interval == 0) {
+      channel.push(std::exchange(done.tick, Tick{}));
     }
-    sink.hand_off(done.sweep_records, done.sweep_spill_file, done.error);
-  }
-  if (engine) {
-    done.engine = engine->stats();
-    hosts->hand_off(done.records, done.spill_file, done.error);
-  }
+  });
+  scan::ScanEngine engine(network, engine_config_for(job, spec), source, module);
+  engine.set_launch_observer([&](net::IPv4Address ip, std::uint64_t cycle) {
+    cycle_of[ip] = cycle;
+    ++done.tick.launched;
+  });
+  done.duration = run_to_done(engine, network.loop());
+  done.engine = engine.stats();
+  hosts.hand_off(done.records, done.spill_file, done.error);
   return done;
+}
+
+/// The hand-off from phase 1 to phase 2: each worker's responsive hosts,
+/// cut to the job's cap. Cycle indices are globally unique, so the K-th
+/// smallest responsive cycle is the exact truncation threshold for any
+/// worker count. max_promoted_hosts == 0 promotes every responsive host.
+std::vector<PromotionList> promote(const ScanJob& job, std::vector<WorkerDone>& swept,
+                                   ScanResult& result) {
+  std::vector<PromotionList> lists;
+  std::vector<std::uint64_t> cycles;
+  for (WorkerDone& fin : swept) {
+    for (const scan::ListTargetSource::Entry& entry : fin.responsive) {
+      cycles.push_back(entry.second);
+    }
+    lists.push_back(std::move(fin.responsive));
+  }
+  const std::uint64_t responsive = cycles.size();
+  result.promoted = job.max_promoted_hosts == 0
+                        ? responsive
+                        : std::min<std::uint64_t>(responsive, job.max_promoted_hosts);
+  result.truncated = responsive - result.promoted;
+  if (result.truncated == 0) return lists;
+  const auto kth = cycles.begin() + static_cast<std::ptrdiff_t>(result.promoted - 1);
+  std::nth_element(cycles.begin(), kth, cycles.end());
+  const std::uint64_t threshold = *kth;
+  for (PromotionList& list : lists) {
+    std::erase_if(list, [threshold](const scan::ListTargetSource::Entry& entry) {
+      return entry.second > threshold;
+    });
+  }
+  return lists;
 }
 
 /// Concatenates the workers' runs and sorts them once by cycle index.
@@ -398,13 +363,14 @@ void add_stats(Stats& total, const Stats& part, bool first) {
 
 ScanResult run_scan(const ScanJob& job, sim::Network& network,
                     model::InternetModel& internet) {
+  IWSCAN_ASSERT(scan::sample_fraction_supported(job.sample_fraction),
+                "sample_fraction must be in (0, 1]");
   ScanResult result;
   result.address_space = scan::TargetGenerator(job.allow, job.block, job.scan_seed,
                                                job.sample_fraction)
                              .address_space_size();
   const ShardPlan plan = ShardPlan::make(job.shards, job.rate_pps, job.max_outstanding);
   const std::uint64_t workers = plan.shards.size();
-  const bool capped = job.two_phase && job.max_promoted_hosts > 0;
   const model::ModelConfig model_config = internet.config();
 
   // Declared before the pool, so they outlive every task. A private world
@@ -438,9 +404,11 @@ ScanResult run_scan(const ScanJob& job, sim::Network& network,
         if (workers > 1 && !world) {
           world = std::make_unique<PrivateWorld>(network, model_config);
         }
-        WorkerDone done = run_worker(job, spec, stage,
-                                     world ? world->network : network,
-                                     std::move(list), channel);
+        sim::Network& fabric = world ? world->network : network;
+        WorkerDone done =
+            stage == Stage::Sweep
+                ? sweep_worker(job, spec, fabric)
+                : engine_worker(job, spec, stage, fabric, std::move(list), channel);
         if (stage != Stage::Sweep) world.reset();  // the worker's last stage
         channel.push(std::move(done));
       });
@@ -467,11 +435,11 @@ ScanResult run_scan(const ScanJob& job, sim::Network& network,
     sim::SimTime slowest{};
     for (WorkerDone& fin : done) {  // fixed worker order, schedule-independent
       const bool first = &fin == &done.front();
-      if (stage != Stage::Sweep) add_stats(result.engine, fin.engine, first);
-      if (stage == Stage::Stream || stage == Stage::Sweep) {
+      if (stage == Stage::Sweep) {
         add_stats(result.sweep, fin.sweep, first);
+      } else {
+        add_stats(result.engine, fin.engine, first);
       }
-      result.promoted += fin.promoted;
       slowest = std::max(slowest, fin.duration);
       if (!fin.spill_file.empty()) {
         result.spill_files.push_back(std::move(fin.spill_file));
@@ -487,37 +455,12 @@ ScanResult run_scan(const ScanJob& job, sim::Network& network,
     return done;
   };
 
-  const Stage first_stage =
-      capped ? Stage::Sweep : job.two_phase ? Stage::Stream : Stage::Scan;
-  std::vector<WorkerDone> phase1 =
-      run_stage(first_stage, std::vector<PromotionList>(workers));
-  if (capped) {
-    // Cycle indices are globally unique, so the K-th smallest responsive
-    // cycle is the exact truncation threshold for any worker count.
-    std::vector<std::uint64_t> cycles;
-    for (const WorkerDone& fin : phase1) {
-      for (const scan::ListTargetSource::Entry& entry : fin.responsive) {
-        cycles.push_back(entry.second);
-      }
-    }
-    const std::uint64_t responsive = cycles.size();
-    result.promoted = std::min<std::uint64_t>(responsive, job.max_promoted_hosts);
-    result.truncated = responsive - result.promoted;
-    std::uint64_t threshold = std::numeric_limits<std::uint64_t>::max();
-    if (result.truncated > 0) {
-      const auto kth = cycles.begin() + static_cast<std::ptrdiff_t>(result.promoted - 1);
-      std::nth_element(cycles.begin(), kth, cycles.end());
-      threshold = *kth;
-    }
-    std::vector<PromotionList> lists;
-    for (WorkerDone& fin : phase1) {
-      std::erase_if(fin.responsive,
-                    [threshold](const scan::ListTargetSource::Entry& entry) {
-                      return entry.second > threshold;
-                    });
-      lists.push_back(std::move(fin.responsive));
-    }
-    run_stage(Stage::Probe, std::move(lists));
+  if (job.two_phase) {
+    std::vector<WorkerDone> swept =
+        run_stage(Stage::Sweep, std::vector<PromotionList>(workers));
+    run_stage(Stage::Probe, promote(job, swept, result));
+  } else {
+    run_stage(Stage::Scan, std::vector<PromotionList>(workers));
   }
 
   result.records = sorted_records(host_runs);

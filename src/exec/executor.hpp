@@ -4,17 +4,18 @@
 // included — runs as N workers on the ThreadPool. A worker drives one
 // ScanEngine over a scan::TargetSource and writes its records into its own
 // sink (an in-memory run or a store::SpillWriter); the calling thread merges
-// the runs once, by global permutation-cycle index. The sources are:
+// the runs once, by global permutation-cycle index. An engine pulls from one
+// of two sources:
 //
-//   stateful   the worker's stride of the TargetGenerator;
-//   streaming  two-phase: a StatelessSweep on the same event loop walks the
-//              stride and promotes responsive hosts into the engine live,
-//              through a bounded queue (backpressure throttles the sweep,
-//              never the reverse) — the ZBanner split (PAPERS.md);
-//   capped     two-phase with max_promoted_hosts: phase 1 sweeps on every
-//              worker, the caller names the K-th smallest responsive cycle,
-//              and phase 2 replays each worker's share of the K lowest
-//              through a ListTargetSource on the world phase 1 swept.
+//   stride    stateful: the worker's stride of the TargetGenerator;
+//   promoted  two-phase phase 2: a ListTargetSource of the worker's share
+//             of the responsive hosts.
+//
+// Two-phase always runs the sweep first — the ZBanner split (PAPERS.md):
+// phase 1 sweeps every worker's stride with a StatelessSweep to its
+// cooldown, the caller cuts the responsive hosts to max_promoted_hosts (the
+// K smallest global cycle indices), and phase 2 probes each worker's share
+// on the world phase 1 swept.
 //
 // Byte-identical output for any N rests on three legs:
 //   1. per-target determinism upstream — session seeds, source ports
@@ -47,7 +48,7 @@ namespace iwscan::exec {
 struct ScanJob {
   core::IwScanConfig probe;           // protocol/port must already be resolved
   double rate_pps = 150'000;          // paper's moderate rate (§3.4); global
-  double sample_fraction = 1.0;       // §4.1: 0.01 = the "1% is enough" mode
+  double sample_fraction = 1.0;  // in (0, 1]; §4.1: 0.01 = "1% is enough"
   std::uint64_t scan_seed = 7;
   std::size_t max_outstanding = 20'000;  // global session cap
   scan::SessionBudget budget;  // per-session graceful-degradation caps
@@ -69,8 +70,9 @@ struct ScanJob {
   // byte-identical to a stateful-everywhere scan restricted to that set.
   bool two_phase = false;
   double sweep_rate_pps = 600'000;  // phase-1 SYN rate (global)
-  // >0 caps phase 2 at the K responsive hosts with the lowest global
-  // permutation-cycle indices, for any worker count. With process_shards>1
+  // 0 promotes every responsive host; K>0 caps phase 2 at the K responsive
+  // hosts with the lowest global permutation-cycle indices, for any worker
+  // count. With process_shards>1
   // the cap is per process: processes cannot see each other's sweeps.
   std::uint64_t max_promoted_hosts = 0;
   // Bounded-memory result path: when non-empty, each worker streams its
@@ -86,7 +88,7 @@ struct ScanJob {
 struct ScanResult {
   std::vector<core::HostScanRecord> records;  // permutation-cycle order
   scan::EngineStats engine;                   // summed over workers
-  sim::SimTime duration{};  // virtual time: slowest worker, per phase
+  sim::SimTime duration{};  // virtual time: slowest worker, summed over phases
   std::uint64_t address_space = 0;            // allowlist size
   // Two-phase mode only (empty/zero otherwise):
   std::vector<scan::SweepRecord> sweep_records;  // phase-1 output, cycle order

@@ -157,10 +157,8 @@ class ScanEngine final : public sim::Endpoint, public SessionServices {
   ScanEngine(sim::Network& network, EngineConfig config, TargetGenerator targets,
              ProbeModule& module);
   /// Pull targets from an external source instead of an owned generator —
-  /// the two-phase executor feeds the engine from the stateless sweep's
-  /// promotion queue this way. `source` must outlive the engine; a source
-  /// that returns Pending must deliver its wakeup (set in start()) on the
-  /// engine's own event loop.
+  /// the two-phase executor replays the sweep's promoted hosts this way.
+  /// `source` must outlive the engine.
   ScanEngine(sim::Network& network, EngineConfig config, TargetSource& source,
              ProbeModule& module);
   ~ScanEngine() override;
@@ -168,13 +166,9 @@ class ScanEngine final : public sim::Endpoint, public SessionServices {
   ScanEngine(const ScanEngine&) = delete;
   ScanEngine& operator=(const ScanEngine&) = delete;
 
-  /// Attach to the network and begin pacing. Completion is observable via
-  /// done() once the event loop drains (or via on_complete).
+  /// Attach to the network and begin pacing; step the event loop until
+  /// done() holds.
   void start();
-
-  void set_on_complete(std::function<void()> callback) {
-    on_complete_ = std::move(callback);
-  }
 
   /// Invoked for every launched target with its global permutation-cycle
   /// index (TargetGenerator::last_cycle_index) — the hook a parallel
@@ -229,7 +223,6 @@ class ScanEngine final : public sim::Endpoint, public SessionServices {
 
   void pace();
   void launch_next_target();
-  void on_source_wakeup();
   void maybe_complete();
   void finish_session(net::IPv4Address target);
   void abort_session(net::IPv4Address target, BudgetKind kind);
@@ -246,12 +239,8 @@ class ScanEngine final : public sim::Endpoint, public SessionServices {
   std::vector<std::unique_ptr<ProbeSession>> graveyard_;
   sim::EventId reap_event_ = sim::kNullEvent;
   sim::EventId pace_event_ = sim::kNullEvent;
-  sim::SimTime next_send_time_{};
   bool started_ = false;
-  bool source_waiting_ = false;  // source returned Pending; pacing is parked
   bool targets_exhausted_ = false;
-  bool complete_notified_ = false;
-  std::function<void()> on_complete_;
   LaunchObserver launch_observer_;
   EngineStats stats_;
 };

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -23,6 +22,12 @@ namespace iwscan::scan {
 /// a network someone tried to exclude, so callers should surface errors.
 [[nodiscard]] std::vector<net::Cidr> parse_cidr_list(
     std::string_view text, std::vector<std::string>* errors = nullptr);
+
+/// Whether `fraction` is a valid TargetGenerator sample fraction: (0, 1].
+/// NaN compares false both ways, so it is rejected too.
+[[nodiscard]] constexpr bool sample_fraction_supported(double fraction) noexcept {
+  return fraction > 0.0 && fraction <= 1.0;
+}
 
 class TargetGenerator {
  public:
@@ -98,16 +103,14 @@ class TargetGenerator {
   std::uint64_t merged_overlap_ = 0;
 };
 
-/// Where a scan engine's targets come from. The classic batch scan pulls
-/// from a TargetGenerator (every target known up front); the two-phase
-/// executor pulls from a live promotion queue fed by the stateless sweep,
-/// which can momentarily run dry without being finished — hence the
-/// three-way pull result and the wakeup hook.
+/// Where a scan engine's targets come from: a TargetGenerator stride
+/// (stateful scans), or the promoted list the two-phase executor builds
+/// once its sweep has finished. Every target is known up front, so a pull
+/// either yields one or reports that none is left.
 class TargetSource {
  public:
   enum class Pull : std::uint8_t {
     Ready,      // `target`/`cycle` were filled in
-    Pending,    // nothing right now, but more may arrive — wait for wakeup
     Exhausted,  // no target will ever arrive again
   };
 
@@ -118,14 +121,9 @@ class TargetSource {
 
   /// Expected total target count (capacity pre-sizing only; may be 0).
   [[nodiscard]] virtual std::uint64_t size_hint() const noexcept { return 0; }
-
-  /// Called once by the consuming engine. Implementations that ever return
-  /// Pending must invoke the callback when new targets arrive or the
-  /// source becomes Exhausted; always-ready sources may ignore it.
-  virtual void set_wakeup(std::function<void()> wakeup) { (void)wakeup; }
 };
 
-/// TargetGenerator adapted to the pull interface: never Pending.
+/// TargetGenerator adapted to the pull interface.
 class GeneratorTargetSource final : public TargetSource {
  public:
   explicit GeneratorTargetSource(TargetGenerator generator)
@@ -150,8 +148,8 @@ class GeneratorTargetSource final : public TargetSource {
 };
 
 /// A fixed, pre-resolved target list with explicit cycle indices — the
-/// two-phase executor's capped mode replays the globally truncated
-/// promotion set through one of these. Never Pending.
+/// two-phase executor's phase 2 replays each worker's share of the
+/// promoted set through one of these.
 class ListTargetSource final : public TargetSource {
  public:
   using Entry = std::pair<net::IPv4Address, std::uint64_t>;  // (target, cycle)

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <set>
 #include <thread>
 #include <vector>
@@ -152,6 +153,15 @@ TEST(ShardPlan, ParseShardSpecAcceptsOnlyIOfNWithIBelowN) {
     EXPECT_FALSE(parse_shard_spec(bad, shard, total)) << '"' << bad << '"';
     EXPECT_EQ(shard, 9u) << bad;
     EXPECT_EQ(total, 9u) << bad;
+  }
+}
+
+TEST(ScanJob, SampleFractionMustLieInZeroToOne) {
+  for (const double good : {0.01, 1.0}) {
+    EXPECT_TRUE(scan::sample_fraction_supported(good)) << good;
+  }
+  for (const double bad : {0.0, -1.0, 1.5, std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_FALSE(scan::sample_fraction_supported(bad)) << bad;
   }
 }
 

@@ -191,13 +191,29 @@ TEST(TwoPhaseRunner, MaxPromotedHostsTruncatesToLowestCycleIndices) {
 
 TEST(TwoPhaseRunner, CapAboveResponsiveCountPromotesEverything) {
   const analysis::ScanOutput full = run_two_phase(1);
-  const analysis::ScanOutput capped = run_two_phase(1, full.promoted + 100);
-  EXPECT_EQ(capped.promoted, full.promoted);
-  EXPECT_EQ(capped.truncated, 0u);
-  ASSERT_EQ(capped.records.size(), full.records.size());
-  for (std::size_t i = 0; i < full.records.size(); ++i) {
-    ASSERT_TRUE(capped.records[i] == full.records[i]) << i;
+  // A cap equal to the responsive count is the threshold's exact edge.
+  for (const std::uint64_t cap : {full.promoted + 100, full.promoted}) {
+    const analysis::ScanOutput capped = run_two_phase(1, cap);
+    EXPECT_EQ(capped.promoted, full.promoted) << cap;
+    EXPECT_EQ(capped.truncated, 0u) << cap;
+    ASSERT_EQ(capped.records.size(), full.records.size()) << cap;
+    for (std::size_t i = 0; i < full.records.size(); ++i) {
+      ASSERT_TRUE(capped.records[i] == full.records[i]) << cap << " " << i;
+    }
   }
+}
+
+// ------------------------------------------------------------ schedule ----
+
+TEST(TwoPhaseRunner, PhaseTwoStartsAfterTheSweepFinishes) {
+  // Two-phase has one schedule: the sweep runs to its cooldown, then the
+  // engine probes the promoted list — never both at once.
+  const analysis::ScanOutput output = run_two_phase(1);
+  ASSERT_GT(output.promoted, 0u);
+  EXPECT_GE(output.engine.started_at, output.sweep.finished_at);
+  EXPECT_GE(output.duration,
+            (output.sweep.finished_at - output.sweep.started_at) +
+                (output.engine.finished_at - output.engine.started_at));
 }
 
 // ------------------------------------------------ hostile battery sweep ----
@@ -244,7 +260,7 @@ TEST(StatelessSweepAdversarial, HostileBatteryHoldsNoStateAndAlwaysFinishes) {
 }
 
 TEST(StatelessSweepAdversarial, TwoPhaseOverHostilePopulationLeaksNoSessions) {
-  // End-to-end: a population with a hostile fraction, streamed through both
+  // End-to-end: a population with a hostile fraction, run through both
   // tiers. The run must complete with every stateful session reaped (the
   // engine pins live_sessions()==0 via done(); reaching here proves it).
   model::ModelConfig config;
