@@ -5,6 +5,7 @@
 // is what must match.
 #pragma once
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -32,6 +33,13 @@ inline void define_common_flags(util::Flags& flags) {
   flags.define_u64("scan-seed", 7, "scanner seed (address order, ISNs)");
   flags.define_double("loss", 0.002, "per-packet per-direction loss rate");
   flags.define_double("rate", 150000, "scan rate in probed targets/second");
+  flags.define_bool("csv", false, "emit CSV instead of aligned tables");
+}
+
+/// The common flags plus the executor's, which only scan_options() reads:
+/// for the benches that run their scans through it.
+inline void define_scan_flags(util::Flags& flags) {
+  define_common_flags(flags);
   flags.define_u64("shards", 1,
                    "parallel scan workers (output is identical for any value)");
   flags.define_string("shard", "0/1",
@@ -39,12 +47,11 @@ inline void define_common_flags(util::Flags& flags) {
                       "i/N (multi-process operator mode; merge with iwmerge)");
   flags.define_string("spill-dir", "",
                       "stream scan records into columnar spill files under "
-                      "this directory instead of RAM");
-  flags.define_bool("csv", false, "emit CSV instead of aligned tables");
+                      "this directory instead of RAM (the tables are the same)");
 }
 
-/// Parse flags; on --help, a parse error or an unsupported --scale prints
-/// and exits the process.
+/// Parse flags; on --help, a parse error, an unsupported --scale, a --loss
+/// outside [0, 1) or a --rate that is not positive prints and exits.
 inline void parse_or_exit(util::Flags& flags, int argc, char** argv) {
   if (!flags.parse(argc, argv)) {
     std::fprintf(stderr, "%s\n%s", flags.error().c_str(),
@@ -55,9 +62,19 @@ inline void parse_or_exit(util::Flags& flags, int argc, char** argv) {
     std::printf("%s", flags.usage(argv[0]).c_str());
     std::exit(0);
   }
+  std::string problem;
+  const double loss = flags.real("loss");
+  const double rate = flags.real("rate");
   if (!model::scale_supported(flags.u64("scale"))) {
-    std::fprintf(stderr, "--scale must be in [%d, %d]\n%s", model::kMinScaleLog2,
-                 model::kMaxScaleLog2, flags.usage(argv[0]).c_str());
+    problem = "--scale must be in [" + std::to_string(model::kMinScaleLog2) + ", " +
+              std::to_string(model::kMaxScaleLog2) + "]";
+  } else if (!(loss >= 0.0 && loss < 1.0)) {  // NaN fails both
+    problem = "--loss must be in [0, 1)";
+  } else if (!(std::isfinite(rate) && rate > 0.0)) {
+    problem = "--rate must be a positive number";
+  }
+  if (!problem.empty()) {
+    std::fprintf(stderr, "%s\n%s", problem.c_str(), flags.usage(argv[0]).c_str());
     std::exit(2);
   }
 }
@@ -74,14 +91,20 @@ inline World make_world(const util::Flags& flags) {
   return world;
 }
 
+/// ScanOptions from the flags define_scan_flags() defines. A bench that
+/// runs several scans names each one, so that each spills into its own
+/// subdirectory `scan` of --spill-dir: spill files are never overwritten,
+/// so two scans into one directory would fail.
 inline analysis::ScanOptions scan_options(const util::Flags& flags,
-                                          core::ProbeProtocol protocol) {
+                                          core::ProbeProtocol protocol,
+                                          const std::string& scan = {}) {
   analysis::ScanOptions options;
   options.protocol = protocol;
   options.rate_pps = flags.real("rate");
   options.scan_seed = flags.u64("scan-seed");
   options.shards = flags.u64("shards");
   options.spill_dir = flags.str("spill-dir");
+  if (!options.spill_dir.empty() && !scan.empty()) options.spill_dir += "/" + scan;
   if (!exec::parse_shard_spec(flags.str("shard"), options.process_shard,
                               options.process_shards)) {
     std::fprintf(stderr, "--shard must be i/N with i < N\n");
@@ -90,14 +113,16 @@ inline analysis::ScanOptions scan_options(const util::Flags& flags,
   return options;
 }
 
-/// run_iw_scan for the bench CLIs. A scan that reports an error (say
-/// --spill-dir is unwritable, so this stride's spill file is missing) prints
-/// it and exits 1, so an operator-mode run never ends 0 with a stride lost.
+/// run_iw_scan for the bench CLIs, with the host records loaded whether the
+/// scan spilled or not, so every table reads `records`. A scan that reports
+/// an error (say --spill-dir is unwritable, so this stride's spill file is
+/// missing) prints it and exits 1, so an operator-mode run never ends 0
+/// with a stride lost.
 inline analysis::ScanOutput run_scan_or_exit(sim::Network& network,
                                              model::InternetModel& internet,
                                              const analysis::ScanOptions& options) {
   analysis::ScanOutput output = analysis::run_iw_scan(network, internet, options);
-  if (!output.error.empty()) {
+  if (!analysis::load_host_records(output)) {
     std::fprintf(stderr, "scan failed: %s\n", output.error.c_str());
     std::exit(1);
   }

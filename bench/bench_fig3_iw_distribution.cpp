@@ -13,7 +13,7 @@ using namespace iwscan;
 
 int main(int argc, char** argv) {
   util::Flags flags;
-  bench::define_common_flags(flags);
+  bench::define_scan_flags(flags);
   flags.define_u64("trials", 30, "number of repeated 1% samples for the band");
   bench::parse_or_exit(flags, argc, argv);
 
@@ -27,8 +27,9 @@ int main(int argc, char** argv) {
 
   for (const auto protocol : {core::ProbeProtocol::Http, core::ProbeProtocol::Tls}) {
     const bool is_http = protocol == core::ProbeProtocol::Http;
-    const auto output = bench::run_scan_or_exit(*world.network, *world.internet,
-                                                bench::scan_options(flags, protocol));
+    const auto output = bench::run_scan_or_exit(
+        *world.network, *world.internet,
+        bench::scan_options(flags, protocol, is_http ? "http" : "tls"));
     const std::string tag = is_http ? "HTTP" : "TLS";
     if (is_http) http_records = output.records;
 

@@ -11,7 +11,7 @@ using namespace iwscan;
 
 int main(int argc, char** argv) {
   util::Flags flags;
-  bench::define_common_flags(flags);
+  bench::define_scan_flags(flags);
   bench::parse_or_exit(flags, argc, argv);
 
   bench::print_header("Fig. 4: Alexa-style popular-host IW distribution", "Figure 4");
@@ -22,7 +22,8 @@ int main(int argc, char** argv) {
 
   for (const auto protocol : {core::ProbeProtocol::Http, core::ProbeProtocol::Tls}) {
     const bool is_http = protocol == core::ProbeProtocol::Http;
-    analysis::ScanOptions options = bench::scan_options(flags, protocol);
+    analysis::ScanOptions options =
+        bench::scan_options(flags, protocol, is_http ? "http" : "tls");
     options.popular_space = true;
     const auto output =
         bench::run_scan_or_exit(*world.network, *world.internet, options);

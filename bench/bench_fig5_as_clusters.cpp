@@ -54,7 +54,7 @@ std::vector<AsVector> per_as_vectors(
 
 int main(int argc, char** argv) {
   util::Flags flags;
-  bench::define_common_flags(flags);
+  bench::define_scan_flags(flags);
   flags.define_double("epsilon", 0.15, "DBSCAN neighbourhood radius");
   flags.define_u64("min-points", 3, "DBSCAN density threshold");
   bench::parse_or_exit(flags, argc, argv);
@@ -64,8 +64,9 @@ int main(int argc, char** argv) {
 
   for (const auto protocol : {core::ProbeProtocol::Http, core::ProbeProtocol::Tls}) {
     const bool is_http = protocol == core::ProbeProtocol::Http;
-    const auto output = bench::run_scan_or_exit(*world.network, *world.internet,
-                                                bench::scan_options(flags, protocol));
+    const auto output = bench::run_scan_or_exit(
+        *world.network, *world.internet,
+        bench::scan_options(flags, protocol, is_http ? "http" : "tls"));
     const auto vectors = per_as_vectors(output.records,
                                         world.internet->registry());
 

@@ -93,7 +93,7 @@ std::vector<std::uint64_t> parse_shard_list(std::string_view text) {
 
 int main(int argc, char** argv) {
   util::Flags flags;
-  bench::define_common_flags(flags);
+  bench::define_scan_flags(flags);
   flags.define_double("real-responder-share", 0.013,
                       "responding-address share of the real IPv4 space "
                       "(paper: 48.3M/3.7B)");
@@ -115,7 +115,7 @@ int main(int argc, char** argv) {
   // The whole-IPv4 sweep the paper times is a single estimation pass (the
   // repeat probes rescan only the responsive sliver of the space).
   analysis::ScanOptions iw_options =
-      bench::scan_options(flags, core::ProbeProtocol::Http);
+      bench::scan_options(flags, core::ProbeProtocol::Http, "iw");
   iw_options.probe.probes_per_mss = 1;
   iw_options.probe.mss_secondary = 0;
   iw_options.max_outstanding = 2'000'000;
@@ -203,6 +203,9 @@ int main(int argc, char** argv) {
     auto fresh = bench::make_world(flags);
     analysis::ScanOptions options = iw_options;
     options.shards = shards;
+    if (!options.spill_dir.empty()) {
+      options.spill_dir += "-shards" + std::to_string(shards);
+    }
     util::Stopwatch watch;
     const auto output =
         bench::run_scan_or_exit(*fresh.network, *fresh.internet, options);

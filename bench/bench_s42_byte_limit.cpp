@@ -13,7 +13,7 @@ using namespace iwscan;
 
 int main(int argc, char** argv) {
   util::Flags flags;
-  bench::define_common_flags(flags);
+  bench::define_scan_flags(flags);
   bench::parse_or_exit(flags, argc, argv);
 
   bench::print_header("§4.2: IW defined by byte limit (dual-MSS scan)", "Section 4.2");

@@ -11,7 +11,7 @@ using namespace iwscan;
 
 int main(int argc, char** argv) {
   util::Flags flags;
-  bench::define_common_flags(flags);
+  bench::define_scan_flags(flags);
   bench::parse_or_exit(flags, argc, argv);
 
   bench::print_header("Table 1: scan data set overview", "Table 1");
@@ -19,13 +19,14 @@ int main(int argc, char** argv) {
 
   struct Row {
     const char* name;
+    const char* scan;  // its --spill-dir subdirectory
     core::ProbeProtocol protocol;
     // Paper-reported reference values.
     double paper_success, paper_few, paper_error;
   };
   const Row rows[] = {
-      {"HTTP", core::ProbeProtocol::Http, 0.508, 0.476, 0.016},
-      {"TLS", core::ProbeProtocol::Tls, 0.856, 0.133, 0.011},
+      {"HTTP", "http", core::ProbeProtocol::Http, 0.508, 0.476, 0.016},
+      {"TLS", "tls", core::ProbeProtocol::Tls, 0.856, 0.133, 0.011},
   };
 
   analysis::TextTable table({"Scan", "Reachable", "Success", "Few Data", "Error",
@@ -37,7 +38,7 @@ int main(int argc, char** argv) {
 
   for (const Row& row : rows) {
     const auto output = bench::run_scan_or_exit(
-        *world.network, *world.internet, bench::scan_options(flags, row.protocol));
+        *world.network, *world.internet, bench::scan_options(flags, row.protocol, row.scan));
     const auto summary = analysis::summarize(output.records);
     total_packets += output.engine.packets_sent;
     table.add_row({row.name, util::format_count(summary.reachable),

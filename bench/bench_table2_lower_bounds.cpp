@@ -10,7 +10,7 @@ using namespace iwscan;
 
 int main(int argc, char** argv) {
   util::Flags flags;
-  bench::define_common_flags(flags);
+  bench::define_scan_flags(flags);
   bench::parse_or_exit(flags, argc, argv);
 
   bench::print_header("Table 2: few-data IW lower bounds", "Table 2");
@@ -28,8 +28,9 @@ int main(int argc, char** argv) {
 
   for (const auto protocol : {core::ProbeProtocol::Http, core::ProbeProtocol::Tls}) {
     const bool is_http = protocol == core::ProbeProtocol::Http;
-    const auto output = bench::run_scan_or_exit(*world.network, *world.internet,
-                                                bench::scan_options(flags, protocol));
+    const auto output = bench::run_scan_or_exit(
+        *world.network, *world.internet,
+        bench::scan_options(flags, protocol, is_http ? "http" : "tls"));
     const auto bounds = analysis::few_data_lower_bounds(output.records);
     const auto& paper = is_http ? paper_http : paper_tls;
 

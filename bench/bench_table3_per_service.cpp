@@ -29,7 +29,7 @@ struct ServiceStats {
 
 int main(int argc, char** argv) {
   util::Flags flags;
-  bench::define_common_flags(flags);
+  bench::define_scan_flags(flags);
   bench::parse_or_exit(flags, argc, argv);
 
   bench::print_header("Table 3: per-service IW distribution", "Table 3");
@@ -58,8 +58,9 @@ int main(int argc, char** argv) {
 
   for (const auto protocol : {core::ProbeProtocol::Http, core::ProbeProtocol::Tls}) {
     const bool is_http = protocol == core::ProbeProtocol::Http;
-    const auto output = bench::run_scan_or_exit(*world.network, *world.internet,
-                                                bench::scan_options(flags, protocol));
+    const auto output = bench::run_scan_or_exit(
+        *world.network, *world.internet,
+        bench::scan_options(flags, protocol, is_http ? "http" : "tls"));
 
     std::map<analysis::ServiceClass, ServiceStats> stats;
     for (const auto& record : output.records) {

@@ -14,7 +14,7 @@ using namespace iwscan;
 
 int main(int argc, char** argv) {
   util::Flags flags;
-  bench::define_common_flags(flags);
+  bench::define_scan_flags(flags);
   flags.define_u64("epochs", 10, "number of scan epochs to simulate");
   flags.define_double("upgrade-rate", 0.06,
                       "per-epoch legacy-Linux → IW10 upgrade probability");
@@ -48,12 +48,10 @@ int main(int argc, char** argv) {
     model::InternetModel internet(network, config);
     internet.install();
 
-    analysis::ScanOptions options;
-    options.protocol = core::ProbeProtocol::Http;
-    options.rate_pps = flags.real("rate");
+    analysis::ScanOptions options = bench::scan_options(
+        flags, core::ProbeProtocol::Http, "epoch" + std::to_string(epoch));
     options.sample_fraction = flags.real("fraction");
-    options.scan_seed = flags.u64("scan-seed");
-    const auto output = analysis::run_iw_scan(network, internet, options);
+    const auto output = bench::run_scan_or_exit(network, internet, options);
 
     const auto fractions = analysis::iw_fractions(output.records);
     const auto share = [&](std::uint32_t iw) {

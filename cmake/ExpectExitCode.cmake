@@ -3,19 +3,7 @@
 # status, an abort included).
 #
 #   cmake -DEXPECTED=2 -P ExpectExitCode.cmake -- <program> [args...]
-set(command)
-set(in_command OFF)
-math(EXPR last "${CMAKE_ARGC} - 1")
-foreach(index RANGE ${last})
-  if(in_command)
-    list(APPEND command "${CMAKE_ARGV${index}}")
-  elseif(CMAKE_ARGV${index} STREQUAL "--")
-    set(in_command ON)
-  endif()
-endforeach()
-if(NOT command)
-  message(FATAL_ERROR "ExpectExitCode.cmake: no command after --")
-endif()
+include(${CMAKE_CURRENT_LIST_DIR}/ScriptCommand.cmake)
 
 execute_process(COMMAND ${command} RESULT_VARIABLE result)
 if(NOT result STREQUAL "${EXPECTED}")

@@ -21,7 +21,6 @@
 
 #include "analysis/iw_table.hpp"
 #include "analysis/scan_runner.hpp"
-#include "analysis/spill_report.hpp"
 #include "exec/shard_plan.hpp"
 #include "inetmodel/internet.hpp"
 #include "util/flags.hpp"
@@ -89,8 +88,10 @@ int main(int argc, char** argv) {
   // the responsive sliver. Records are byte-identical to the stateful-
   // everywhere scan restricted to that sliver.
   options.two_phase = flags.boolean("two-phase");
-  const auto output = analysis::run_iw_scan(network, internet, options);
-  if (!output.error.empty()) {  // e.g. --spill-dir names a file or the disk filled
+  // A spilled scan's records are merged back from disk, so both modes print
+  // the same report (with --shard i/N, this stride's; iwmerge joins strides).
+  auto output = analysis::run_iw_scan(network, internet, options);
+  if (!analysis::load_host_records(output)) {  // e.g. --spill-dir names a file
     std::fprintf(stderr, "quickstart: %s\n", output.error.c_str());
     return 1;
   }
@@ -102,30 +103,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(output.sweep.closed),
                 static_cast<unsigned long long>(output.sweep.banners),
                 static_cast<unsigned long long>(output.promoted));
-  }
-
-  // Spill mode: records went to disk, not RAM. Read them back through the
-  // streaming merge for the same report (or hand the directory to iwmerge
-  // together with the other processes' directories).
-  if (!options.spill_dir.empty()) {
-    analysis::SpillSummary merged;
-    std::string error;
-    if (!analysis::summarize_spill_files(output.spill_files, merged, error)) {
-      std::fprintf(stderr, "quickstart: %s\n", error.c_str());
-      return 1;
-    }
-    std::printf("probed %llu hosts (shard %llu/%llu): %llu reachable, success "
-                "%.1f%%, few-data %.1f%%, error %.1f%%\n",
-                static_cast<unsigned long long>(merged.records),
-                static_cast<unsigned long long>(process_shard),
-                static_cast<unsigned long long>(process_shards),
-                static_cast<unsigned long long>(merged.summary.reachable),
-                merged.summary.success_rate() * 100,
-                merged.summary.few_data_rate() * 100,
-                merged.summary.error_rate() * 100);
-    std::printf("spilled %zu file(s) under %s — merge with iwmerge\n",
-                output.spill_files.size(), options.spill_dir.c_str());
-    return 0;
   }
 
   // 3. Aggregate into the Table-1 / Fig.-3 views.

@@ -47,6 +47,11 @@ void accumulate(DatasetSummary& summary, const core::HostScanRecord& record);
 [[nodiscard]] std::map<std::uint32_t, double> iw_fractions(
     std::span<const core::HostScanRecord> records);
 
+/// Any histogram (key → count) as fractions of its total; empty if the
+/// total is 0.
+[[nodiscard]] std::map<std::uint32_t, double> histogram_fractions(
+    const std::map<std::uint32_t, std::uint64_t>& histogram);
+
 /// Fig. 3 filter: keep IWs held by at least `min_fraction` of hosts.
 [[nodiscard]] std::map<std::uint32_t, double> dominant_iws(
     const std::map<std::uint32_t, double>& fractions, double min_fraction = 0.001);

@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "analysis/table_writer.hpp"
-#include "store/spill.hpp"
 #include "util/strings.hpp"
 
 namespace iwscan::analysis {
@@ -130,23 +129,12 @@ std::vector<EpochBreakdown> longitudinal_breakdown(
     if (!scan.spill_dir.empty()) {
       scan.spill_dir += "/epoch" + std::to_string(epoch);
     }
-    const ScanOutput output = run_iw_scan(network, internet, scan);
-
-    EpochBreakdown breakdown;
-    breakdown.epoch = epoch;
-    if (!scan.spill_dir.empty()) {
-      std::vector<core::HostScanRecord> records;
-      std::string merge_error;
-      if (!store::read_merged<core::HostScanRecord>(output.spill_files, records,
-                                                    &merge_error)) {
-        if (error != nullptr) *error = merge_error;
-        return {};
-      }
-      breakdown.rows = provider_breakdown(records, internet.registry());
-    } else {
-      breakdown.rows = provider_breakdown(output.records, internet.registry());
+    ScanOutput output = run_iw_scan(network, internet, scan);
+    if (!load_host_records(output)) {
+      if (error != nullptr) *error = output.error;
+      return {};
     }
-    out.push_back(std::move(breakdown));
+    out.push_back({epoch, provider_breakdown(output.records, internet.registry())});
   }
   return out;
 }

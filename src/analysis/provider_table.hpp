@@ -76,7 +76,7 @@ struct LongitudinalOptions {
 /// Runs one scan per epoch against a freshly-synthesized world (same seed,
 /// the drift/CDN epoch advanced). With scan.spill_dir set, each epoch
 /// spills under "<dir>/epoch<N>" and is read back through the K-way merge.
-/// Returns an empty vector (with `*error` set, if given) on spill failures.
+/// Returns an empty vector (with `*error` set, if given) if a scan fails.
 [[nodiscard]] std::vector<EpochBreakdown> longitudinal_breakdown(
     const LongitudinalOptions& options, std::string* error = nullptr);
 

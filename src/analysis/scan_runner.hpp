@@ -25,4 +25,10 @@ using ScanOutput = exec::ScanResult;
 [[nodiscard]] ScanOutput run_iw_scan(sim::Network& network, model::InternetModel& internet,
                                      const ScanOptions& options);
 
+/// Makes a finished scan's `records` hold its host records in cycle order,
+/// spilled or not: a spilled scan's files are merged back; an in-RAM scan's
+/// records are already there. False if the scan failed or its files do not
+/// merge; `output.error` says why.
+[[nodiscard]] bool load_host_records(ScanOutput& output);
+
 }  // namespace iwscan::analysis

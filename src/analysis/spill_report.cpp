@@ -35,15 +35,4 @@ bool summarize_spill_files(const std::vector<std::string>& inputs, SpillSummary&
   return true;
 }
 
-std::map<std::uint32_t, double> spill_iw_fractions(const SpillSummary& summary) {
-  std::uint64_t total = 0;
-  for (const auto& [iw, count] : summary.histogram) total += count;
-  std::map<std::uint32_t, double> fractions;
-  if (total == 0) return fractions;
-  for (const auto& [iw, count] : summary.histogram) {
-    fractions[iw] = static_cast<double>(count) / static_cast<double>(total);
-  }
-  return fractions;
-}
-
 }  // namespace iwscan::analysis

@@ -37,8 +37,4 @@ struct SpillSummary {
 [[nodiscard]] bool summarize_spill_files(const std::vector<std::string>& inputs,
                                          SpillSummary& out, std::string& error);
 
-/// Same fractions the in-RAM path derives via iw_fractions().
-[[nodiscard]] std::map<std::uint32_t, double> spill_iw_fractions(
-    const SpillSummary& summary);
-
 }  // namespace iwscan::analysis

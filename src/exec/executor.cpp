@@ -1,7 +1,6 @@
 #include "exec/executor.hpp"
 
 #include <algorithm>
-#include <iterator>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -23,15 +22,6 @@ namespace {
 // the two tiers run as separate flows so phase 1 cannot perturb phase 2.
 constexpr net::IPv4Address kScannerAddress{192, 0, 2, 1};
 constexpr std::size_t kChannelCapacity = 1024;
-
-template <class Record>
-struct TaggedRecord {
-  std::uint64_t cycle = 0;  // global permutation-cycle index of the target
-  Record record;
-};
-
-template <class Record>
-using Run = std::vector<TaggedRecord<Record>>;
 
 /// Promoted hosts awaiting phase 2, in cycle order: (target, cycle index).
 using PromotionList = std::vector<scan::ListTargetSource::Entry>;
@@ -56,10 +46,10 @@ struct WorkerDone {
   scan::SweepStats sweep;
   sim::SimTime duration{};
   PromotionList responsive;  // Sweep: every responsive host, cycle order
-  Run<core::HostScanRecord> records;  // in-memory sinks
-  Run<scan::SweepRecord> sweep_records;
-  std::string spill_file;  // spill sinks
+  std::string spill_file;  // spill mode: the worker's files
   std::string sweep_spill_file;
+  store::SegmentReader<core::HostScanRecord> segments;  // RAM: its segments
+  store::SegmentReader<scan::SweepRecord> sweep_segments;
   std::string error;
 };
 
@@ -163,59 +153,19 @@ store::SpillConfig spill_config_for(const ScanJob& job, Stride stride) {
   return config;
 }
 
-/// Upper bound on the records a stride can emit, scaled by the sample
-/// fraction. Pre-sizes the in-memory run so the record path never
-/// reallocates mid-scan (pinned in tests/alloc_budget_test.cpp).
-std::size_t expected_records(const ScanJob& job, std::uint64_t address_space,
-                             Stride stride) {
-  const std::uint64_t slice = (address_space + stride.total - 1) / stride.total;
-  if (job.sample_fraction >= 1.0) return static_cast<std::size_t>(slice);
-  return static_cast<std::size_t>(static_cast<double>(slice) * job.sample_fraction) +
-         1;
-}
-
-/// Closes a spill writer. An I/O failure (disk full, unwritable directory)
-/// lands in `error` and yields no path.
+/// Closes a worker's writer and hands off what it wrote: its file (spill
+/// mode) or its sorted segments in memory, opened for the caller's merge.
+/// An I/O failure (disk full, unwritable directory) lands in `error` and
+/// yields no file.
 template <class Record>
-std::string finish_spill(store::SpillWriter<Record>& writer, std::string& error) {
-  if (writer.close()) return writer.path();
-  if (error.empty()) error = writer.error();
-  return {};
+void hand_off(store::SpillWriter<Record>& writer, std::string& file,
+              store::SegmentReader<Record>& segments, std::string& error) {
+  if (!writer.close()) {
+    error = writer.error();
+  } else if (segments.open(writer.take_segments(), &error)) {
+    file = writer.path();
+  }
 }
-
-/// Where one worker writes one record kind: an in-memory run the caller
-/// merges, or the worker's own spill file.
-template <class Record>
-class RecordSink {
- public:
-  RecordSink(const ScanJob& job, Stride stride, std::size_t expected) {
-    if (job.spill_dir.empty()) {
-      run_.reserve(expected);
-    } else {
-      spill_.emplace(spill_config_for(job, stride));
-    }
-  }
-
-  void append(std::uint64_t cycle, const Record& record) {
-    if (spill_) {
-      spill_->append(cycle, record);
-    } else {
-      run_.push_back({cycle, record});
-    }
-  }
-
-  void hand_off(Run<Record>& run, std::string& spill_file, std::string& error) {
-    if (spill_) {
-      spill_file = finish_spill(*spill_, error);
-    } else {
-      run = std::move(run_);
-    }
-  }
-
- private:
-  Run<Record> run_;
-  std::optional<store::SpillWriter<Record>> spill_;
-};
 
 /// Starts a sweep or an engine and steps its loop until it is done;
 /// returns the virtual time that took.
@@ -241,13 +191,12 @@ WorkerDone sweep_worker(const ScanJob& job, const ShardSpec& spec,
       [&](const scan::SweepEvent& event) { collector.on_event(event); });
   done.duration = run_to_done(sweep, network.loop());
   done.sweep = sweep.stats();
-  std::vector<scan::SweepRecord> swept = collector.take_sorted();
-  RecordSink<scan::SweepRecord> sink(job, stride, swept.size());
-  for (const scan::SweepRecord& record : swept) {
+  store::SpillWriter<scan::SweepRecord> sink(spill_config_for(job, stride));
+  for (const scan::SweepRecord& record : collector.take_sorted()) {
     sink.append(record.cycle, record);
     if (record.responsive) done.responsive.emplace_back(record.ip, record.cycle);
   }
-  sink.hand_off(done.sweep_records, done.sweep_spill_file, done.error);
+  hand_off(sink, done.sweep_spill_file, done.sweep_segments, done.error);
   return done;
 }
 
@@ -265,9 +214,7 @@ WorkerDone engine_worker(const ScanJob& job, const ShardSpec& spec, Stage stage,
   scan::TargetSource& source =
       walked ? static_cast<scan::TargetSource&>(*walked) : listed;
 
-  RecordSink<core::HostScanRecord> hosts(
-      job, stride,
-      walked ? expected_records(job, walked->size_hint(), stride) : listed.size_hint());
+  store::SpillWriter<core::HostScanRecord> hosts(spill_config_for(job, stride));
   std::unordered_map<net::IPv4Address, std::uint64_t> cycle_of;
   std::uint64_t completed = 0;
   core::IwProbeModule module(job.probe, [&](const core::HostScanRecord& record) {
@@ -288,7 +235,7 @@ WorkerDone engine_worker(const ScanJob& job, const ShardSpec& spec, Stage stage,
   });
   done.duration = run_to_done(engine, network.loop());
   done.engine = engine.stats();
-  hosts.hand_off(done.records, done.spill_file, done.error);
+  hand_off(hosts, done.spill_file, done.segments, done.error);
   return done;
 }
 
@@ -323,31 +270,6 @@ std::vector<PromotionList> promote(const ScanJob& job, std::vector<WorkerDone>& 
   return lists;
 }
 
-/// Concatenates the workers' runs and sorts them once by cycle index.
-/// Cycle indices are unique across workers (each owns one stride), so this
-/// recovers the shards=1 emission order.
-template <class Record>
-std::vector<Record> sorted_records(std::vector<Run<Record>>& runs) {
-  if (runs.empty()) return {};
-  std::size_t total = 0;
-  for (const Run<Record>& run : runs) total += run.size();
-  Run<Record> tagged = std::move(runs.front());
-  tagged.reserve(total);
-  for (std::size_t i = 1; i < runs.size(); ++i) {
-    tagged.insert(tagged.end(), std::make_move_iterator(runs[i].begin()),
-                  std::make_move_iterator(runs[i].end()));
-    Run<Record>().swap(runs[i]);
-  }
-  std::sort(tagged.begin(), tagged.end(),
-            [](const TaggedRecord<Record>& a, const TaggedRecord<Record>& b) {
-              return a.cycle < b.cycle;
-            });
-  std::vector<Record> records;
-  records.reserve(tagged.size());
-  for (TaggedRecord<Record>& entry : tagged) records.push_back(std::move(entry.record));
-  return records;
-}
-
 /// Adds one worker's stats to the total; the first assigns, so the time
 /// window is the workers' own envelope.
 template <class Stats>
@@ -377,8 +299,8 @@ ScanResult run_scan(const ScanJob& job, sim::Network& network,
   // lives from its worker's first stage to the end of its last one.
   BoundedChannel<Message> channel(kChannelCapacity);
   std::vector<std::unique_ptr<PrivateWorld>> worlds(workers);
-  std::vector<Run<core::HostScanRecord>> host_runs;
-  std::vector<Run<scan::SweepRecord>> sweep_runs;
+  std::vector<store::SegmentReader<core::HostScanRecord>> host_runs;
+  std::vector<store::SegmentReader<scan::SweepRecord>> sweep_runs;
   ThreadPool pool(std::min<std::size_t>(
       workers, std::max<std::size_t>(1, std::thread::hardware_concurrency())));
 
@@ -448,8 +370,8 @@ ScanResult run_scan(const ScanJob& job, sim::Network& network,
         result.sweep_spill_files.push_back(std::move(fin.sweep_spill_file));
       }
       if (result.error.empty()) result.error = std::move(fin.error);
-      host_runs.push_back(std::move(fin.records));
-      sweep_runs.push_back(std::move(fin.sweep_records));
+      host_runs.push_back(std::move(fin.segments));
+      sweep_runs.push_back(std::move(fin.sweep_segments));
     }
     result.duration += slowest;
     return done;
@@ -463,8 +385,16 @@ ScanResult run_scan(const ScanJob& job, sim::Network& network,
     run_stage(Stage::Scan, std::vector<PromotionList>(workers));
   }
 
-  result.records = sorted_records(host_runs);
-  result.sweep_records = sorted_records(sweep_runs);
+  // One K-way merge by cycle index, the one that reads spill files back,
+  // turns the workers' in-memory segments into the records. Cycle indices
+  // are unique across workers (each owns one stride), so this recovers the
+  // shards=1 emission order. In spill mode every run is empty, and so are
+  // the records.
+  std::string merge_error;
+  if (!store::read_merged(std::move(host_runs), result.records, &merge_error) ||
+      !store::read_merged(std::move(sweep_runs), result.sweep_records, &merge_error)) {
+    if (result.error.empty()) result.error = std::move(merge_error);
+  }
   return result;
 }
 

@@ -3,9 +3,11 @@
 // Every scan — stateful or two-phase, records in RAM or spilled, shards=1
 // included — runs as N workers on the ThreadPool. A worker drives one
 // ScanEngine over a scan::TargetSource and writes its records into its own
-// sink (an in-memory run or a store::SpillWriter); the calling thread merges
-// the runs once, by global permutation-cycle index. An engine pulls from one
-// of two sources:
+// store::SpillWriter, which sorts them into segments on the worker's
+// thread: a file under spill_dir, or, without one, segments kept in memory
+// that the calling thread merges into ScanResult::records with the same
+// K-way merge that reads spill files back. An engine pulls from one of two
+// sources:
 //
 //   stride    stateful: the worker's stride of the TargetGenerator;
 //   promoted  two-phase phase 2: a ListTargetSource of the worker's share
@@ -78,7 +80,8 @@ struct ScanJob {
   // Bounded-memory result path: when non-empty, each worker streams its
   // records into columnar spill files under this directory instead of RAM —
   // RSS stays O(spill_segment_bytes) per worker, not O(targets). Read them
-  // back with store::open_merge or tools/iwmerge.
+  // back with store::open_merge or tools/iwmerge. The files must not exist
+  // yet: two scans into one directory are an error, not an overwrite.
   std::string spill_dir;
   std::size_t spill_segment_bytes = 1u << 20;
   ProgressFn progress;  // optional; invoked on the calling thread

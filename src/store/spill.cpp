@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <filesystem>
 #include <numeric>
 
@@ -73,9 +74,12 @@ namespace detail {
 FileSink::~FileSink() { static_cast<void>(close()); }
 
 bool FileSink::open(const std::string& path, std::string* error) {
-  file_ = std::fopen(path.c_str(), "wb");
+  file_ = std::fopen(path.c_str(), "wbx");  // exclusive: never clobber a spill
   if (file_ == nullptr) {
-    if (error != nullptr) *error = "cannot open " + path + " for writing";
+    if (error != nullptr) {
+      *error = errno == EEXIST ? "refusing to overwrite " + path
+                               : "cannot open " + path + " for writing";
+    }
     ok_ = false;
     return false;
   }
@@ -83,7 +87,11 @@ bool FileSink::open(const std::string& path, std::string* error) {
 }
 
 void FileSink::write(std::span<const std::uint8_t> bytes) {
-  if (file_ == nullptr || !ok_ || bytes.empty()) return;
+  if (!ok_ || bytes.empty()) return;
+  if (file_ == nullptr) {
+    memory_.insert(memory_.end(), bytes.begin(), bytes.end());
+    return;
+  }
   if (std::fwrite(bytes.data(), 1, bytes.size(), file_) != bytes.size()) {
     ok_ = false;
   }

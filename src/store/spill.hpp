@@ -1,20 +1,22 @@
-// Bounded-memory result path: append-only spill writers, mmap-backed
-// segment readers, and the K-way merge that reconstructs the global record
-// order (DESIGN.md §10).
+// The record path of every scan: append-only spill writers, segment
+// readers, and the K-way merge that reconstructs the global record order
+// (DESIGN.md §10).
 //
-// The in-RAM result path grows one vector across the whole scan — ~400 GB
-// at 2^32 targets. SpillWriter caps that at O(segment): records accumulate
-// in a fixed-capacity buffer, and when it fills the buffer is sorted by
-// global permutation-cycle index and flushed as one self-describing,
-// CRC-guarded segment (store/spill_format.hpp). Every segment is therefore
-// a sorted run, so reading the scan back is a K-way heap merge over all
-// segments of all shards — cycle indices are globally unique, which makes
-// the merged stream byte-identical to what a single-process single-thread
-// scan would have produced, for any {process × thread} sharding.
+// SpillWriter caps a writer's working set at O(segment): records
+// accumulate in a fixed-capacity buffer, and when it fills the buffer is
+// sorted by global permutation-cycle index and flushed as one
+// self-describing, CRC-guarded segment (store/spill_format.hpp). A writer
+// with a directory flushes into a file there; one without keeps its
+// segments in memory. Every segment is a sorted run either way, so reading
+// records back — from files, from memory, or both — is one K-way heap merge
+// over all segments of all shards. Cycle indices are globally unique, which
+// makes the merged stream byte-identical to what a single-process
+// single-thread scan would have produced, for any {process × thread}
+// sharding.
 //
 // Hot-path contract (iwlint): SpillWriter::append and SegmentReader::next
 // are IWSCAN_HOT roots — no allocation, no locking, no syscalls per
-// record. The segment flush (sort + encode + CRC + buffered fwrite) is the
+// record. The segment flush (sort + encode + CRC + buffered write) is the
 // audited IWSCAN_HOT_BOUNDARY; it reuses its scratch buffers' capacity, so
 // steady-state appends stay allocation-free (tests/alloc_budget_test.cpp).
 #pragma once
@@ -37,7 +39,7 @@
 namespace iwscan::store {
 
 struct SpillConfig {
-  std::string directory;  // created if missing
+  std::string directory;  // created if missing; empty keeps segments in memory
   std::size_t segment_bytes = kDefaultSegmentBytes;
   std::uint64_t seed = 0;  // scan seed, stamped into every segment header
   std::uint32_t shard = 0;
@@ -67,8 +69,9 @@ struct SpillConfig {
 
 namespace detail {
 
-/// Buffered append-only file sink; keeps cstdio out of the templates so
-/// the flush path stays one audited syscall site.
+/// Buffered append-only segment sink: a file opened with exclusive create,
+/// or, until open() is called, a byte buffer in memory. Keeps cstdio out of
+/// the templates so the flush path stays one audited syscall site.
 class FileSink {
  public:
   FileSink() = default;
@@ -80,13 +83,17 @@ class FileSink {
   void write(std::span<const std::uint8_t> bytes);
   [[nodiscard]] bool close();
   [[nodiscard]] bool ok() const noexcept { return ok_; }
+  /// What an in-memory sink holds (nothing for a file).
+  [[nodiscard]] net::Bytes take_memory() noexcept { return std::move(memory_); }
 
  private:
   std::FILE* file_ = nullptr;
+  net::Bytes memory_;
   bool ok_ = true;
 };
 
-/// Creates `directory` (and parents) if needed, then opens the sink.
+/// Creates `directory` (and parents) if needed, then opens the sink on
+/// `path`, which must not exist yet.
 [[nodiscard]] bool open_spill_sink(const std::string& directory,
                                    const std::string& path, FileSink& sink,
                                    std::string* error);
@@ -122,9 +129,10 @@ struct SegmentView {
   std::span<const std::uint8_t> payload;
 };
 
-/// Streams (cycle, record) pairs into fixed-size sorted segments. Records
-/// may arrive in any order (sessions complete out of cycle order); each
-/// segment is sorted at flush time.
+/// Streams (cycle, record) pairs into fixed-size sorted segments, in a file
+/// under config.directory or, when that is empty, in memory (take_segments).
+/// Records may arrive in any order (sessions complete out of cycle order);
+/// each segment is sorted at flush time.
 template <class Record>
 class SpillWriter {
  public:
@@ -135,6 +143,7 @@ class SpillWriter {
     const std::size_t capacity = std::clamp<std::size_t>(
         config.segment_bytes / RecordTraits<Record>::wire_bytes, 1, 1u << 26);
     buffer_.resize(capacity);
+    if (config.directory.empty()) return;
     path_ = join_path(config.directory,
                       spill_file_name(RecordTraits<Record>::kind, shard_,
                                       total_shards_));
@@ -155,7 +164,8 @@ class SpillWriter {
   }
 
   /// Flushes the tail segment and closes the file. False on any I/O error
-  /// (disk full, unwritable directory); error() has the detail.
+  /// (disk full, unwritable directory, existing file); error() has the
+  /// detail.
   bool close() {
     if (closed_) return ok_;
     closed_ = true;
@@ -165,7 +175,11 @@ class SpillWriter {
     return ok_;
   }
 
+  /// Empty for an in-memory writer.
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
+  /// An in-memory writer's segments, once closed; read them back with
+  /// SegmentReader::open.
+  [[nodiscard]] net::Bytes take_segments() noexcept { return sink_.take_memory(); }
   [[nodiscard]] std::uint64_t appended() const noexcept { return appended_; }
   [[nodiscard]] std::uint64_t segments_flushed() const noexcept {
     return segments_flushed_;
@@ -228,16 +242,59 @@ class SpillWriter {
   bool closed_ = false;
 };
 
-/// Opens one spill file: maps it, walks and validates every segment
-/// (structure + header CRC + payload CRC + uniform seed/shard identity),
-/// then iterates records in file order via next().
+/// Reads one writer's segments — a mapped spill file, or an in-memory
+/// writer's bytes — after walking and validating every segment (structure
+/// + header CRC + payload CRC + uniform seed/shard identity), then iterates
+/// records in segment order via next().
 template <class Record>
 class SegmentReader {
  public:
   [[nodiscard]] bool open(const std::string& path, std::string* error) {
     path_ = path;
-    if (!file_.map(path, error)) return false;
-    net::WireReader reader(file_.bytes());
+    return file_.map(path, error) && index(file_.bytes(), error);
+  }
+
+  /// Opens an in-memory writer's segments (SpillWriter::take_segments).
+  [[nodiscard]] bool open(net::Bytes segments, std::string* error) {
+    path_ = "in-memory segments";
+    owned_ = std::move(segments);
+    return index(owned_, error);
+  }
+
+  /// Hot sequential read: records in segment order (per-segment cycle order).
+  IWSCAN_HOT bool next(std::uint64_t& cycle, Record& out) {
+    while (segment_index_ < segments_.size()) {
+      if (cursor_.remaining() >= RecordTraits<Record>::wire_bytes) {
+        decode_record(cursor_, cycle, out);
+        return true;
+      }
+      ++segment_index_;
+      if (segment_index_ < segments_.size()) {
+        cursor_ = net::WireReader(segments_[segment_index_].payload);
+      }
+    }
+    return false;
+  }
+
+  [[nodiscard]] const std::vector<SegmentView>& segments() const noexcept {
+    return segments_;
+  }
+  [[nodiscard]] std::uint64_t record_count() const noexcept { return record_count_; }
+  [[nodiscard]] bool has_identity() const noexcept { return !segments_.empty(); }
+  [[nodiscard]] std::uint64_t seed() const noexcept {
+    return segments_.empty() ? 0 : segments_.front().meta.seed;
+  }
+  [[nodiscard]] std::uint32_t shard() const noexcept {
+    return segments_.empty() ? 0 : segments_.front().meta.shard;
+  }
+  [[nodiscard]] std::uint32_t total_shards() const noexcept {
+    return segments_.empty() ? 1 : segments_.front().meta.total_shards;
+  }
+  [[nodiscard]] const std::string& path() const noexcept { return path_; }
+
+ private:
+  bool index(std::span<const std::uint8_t> bytes, std::string* error) {
+    net::WireReader reader(bytes);
     while (reader.remaining() > 0) {
       SegmentMeta meta;
       std::string detail_error;
@@ -277,44 +334,13 @@ class SegmentReader {
     return true;
   }
 
-  /// Hot sequential read: records in file order (per-segment cycle order).
-  IWSCAN_HOT bool next(std::uint64_t& cycle, Record& out) {
-    while (segment_index_ < segments_.size()) {
-      if (cursor_.remaining() >= RecordTraits<Record>::wire_bytes) {
-        decode_record(cursor_, cycle, out);
-        return true;
-      }
-      ++segment_index_;
-      if (segment_index_ < segments_.size()) {
-        cursor_ = net::WireReader(segments_[segment_index_].payload);
-      }
-    }
-    return false;
-  }
-
-  [[nodiscard]] const std::vector<SegmentView>& segments() const noexcept {
-    return segments_;
-  }
-  [[nodiscard]] std::uint64_t record_count() const noexcept { return record_count_; }
-  [[nodiscard]] bool has_identity() const noexcept { return !segments_.empty(); }
-  [[nodiscard]] std::uint64_t seed() const noexcept {
-    return segments_.empty() ? 0 : segments_.front().meta.seed;
-  }
-  [[nodiscard]] std::uint32_t shard() const noexcept {
-    return segments_.empty() ? 0 : segments_.front().meta.shard;
-  }
-  [[nodiscard]] std::uint32_t total_shards() const noexcept {
-    return segments_.empty() ? 1 : segments_.front().meta.total_shards;
-  }
-  [[nodiscard]] const std::string& path() const noexcept { return path_; }
-
- private:
   bool fail(std::string* error, const std::string& detail) const {
     if (error != nullptr) *error = path_ + ": " + detail;
     return false;
   }
 
   MappedFile file_;
+  net::Bytes owned_;  // open(net::Bytes)'s segments
   std::vector<SegmentView> segments_;
   std::uint64_t record_count_ = 0;
   std::size_t segment_index_ = 0;
@@ -402,19 +428,12 @@ class MergeReader {
   std::string error_;
 };
 
-/// Opens and cross-validates a set of spill files, then hands back the
-/// merge. Rejects, with a clear error: unreadable/corrupt files, inputs
-/// from different scans (mixed seeds), and overlapping shard strides.
+/// Cross-validates opened readers, then hands back their merge. Rejects,
+/// with a clear error, inputs from different scans (mixed seeds) and
+/// overlapping shard strides.
 template <class Record>
 [[nodiscard]] std::optional<MergeReader<Record>> open_merge(
-    const std::vector<std::string>& files, std::string* error) {
-  std::vector<SegmentReader<Record>> readers;
-  readers.reserve(files.size());
-  for (const std::string& file : files) {
-    SegmentReader<Record> reader;
-    if (!reader.open(file, error)) return std::nullopt;
-    readers.push_back(std::move(reader));
-  }
+    std::vector<SegmentReader<Record>> readers, std::string* error) {
   const SegmentReader<Record>* reference = nullptr;
   for (const SegmentReader<Record>& reader : readers) {
     if (!reader.has_identity()) continue;  // empty spill: nothing to clash
@@ -455,11 +474,24 @@ template <class Record>
   return MergeReader<Record>(std::move(readers));
 }
 
-/// Convenience: merge `files` fully into RAM (tests, small scans).
+/// Same, after opening each of `files`; unreadable or corrupt files are
+/// rejected too.
 template <class Record>
-[[nodiscard]] bool read_merged(const std::vector<std::string>& files,
-                               std::vector<Record>& out, std::string* error) {
-  auto merge = open_merge<Record>(files, error);
+[[nodiscard]] std::optional<MergeReader<Record>> open_merge(
+    const std::vector<std::string>& files, std::string* error) {
+  std::vector<SegmentReader<Record>> readers(files.size());
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    if (!readers[i].open(files[i], error)) return std::nullopt;
+  }
+  return open_merge(std::move(readers), error);
+}
+
+/// Merges `inputs` — spill file paths, or opened SegmentReaders — fully
+/// into RAM: an in-RAM scan's result, tests, small scans.
+template <class Record, class Inputs = std::vector<std::string>>
+[[nodiscard]] bool read_merged(Inputs inputs, std::vector<Record>& out,
+                               std::string* error) {
+  auto merge = open_merge<Record>(std::move(inputs), error);
   if (!merge.has_value()) return false;
   out.clear();
   out.reserve(static_cast<std::size_t>(merge->record_count()));

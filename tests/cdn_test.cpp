@@ -445,6 +445,7 @@ TEST(CdnShardIdentity, SpillPathReproducesTheInMemoryRecords) {
   analysis::ScanOptions spilling = options;
   spilling.spill_dir =
       (std::filesystem::path(::testing::TempDir()) / "cdn_spill").string();
+  std::filesystem::remove_all(spilling.spill_dir);  // spills never overwrite
   const auto spilled = scan_world(world, spilling);
   ASSERT_TRUE(spilled.records.empty());  // streamed to disk, not RAM
   std::vector<core::HostScanRecord> merged;
@@ -482,6 +483,7 @@ TEST(CdnLongitudinal, ProviderTableIsByteIdenticalAcrossShardsAndSpill) {
   options.scan.shards = 1;
   options.scan.spill_dir =
       (std::filesystem::path(::testing::TempDir()) / "cdn_longitudinal").string();
+  std::filesystem::remove_all(options.scan.spill_dir);  // spills never overwrite
   std::string error;
   const auto spill_epochs = analysis::longitudinal_breakdown(options, &error);
   ASSERT_EQ(spill_epochs.size(), 3u) << error;

@@ -274,6 +274,38 @@ TEST(ExecSpill, UnwritableSpillDirIsAnErrorNotAnAbort) {
   fs::remove_all(dir);
 }
 
+TEST(ExecSpill, SecondScanIntoTheSameDirectoryIsAnErrorNotAnOverwrite) {
+  // Spill files are created exclusively: a second scan into a directory
+  // that already holds the first scan's files must fail, and leave them
+  // intact, instead of silently replacing them.
+  const fs::path dir = scratch_dir("second_scan");
+  analysis::ScanOptions options = base_options(2);
+  options.spill_dir = dir.string();
+  FreshWorld first_world;
+  const analysis::ScanOutput first =
+      analysis::run_iw_scan(first_world.network, first_world.internet, options);
+  ASSERT_TRUE(first.error.empty()) << first.error;
+  ASSERT_EQ(first.spill_files.size(), 2u);
+  std::vector<core::HostScanRecord> want;
+  std::string error;
+  ASSERT_TRUE(store::read_merged<core::HostScanRecord>(first.spill_files, want, &error))
+      << error;
+
+  options.protocol = core::ProbeProtocol::Tls;
+  FreshWorld second_world;
+  const analysis::ScanOutput second =
+      analysis::run_iw_scan(second_world.network, second_world.internet, options);
+  EXPECT_NE(second.error.find("refusing to overwrite"), std::string::npos)
+      << second.error;
+  EXPECT_TRUE(second.spill_files.empty());
+
+  std::vector<core::HostScanRecord> got;
+  ASSERT_TRUE(store::read_merged<core::HostScanRecord>(first.spill_files, got, &error))
+      << error;
+  expect_record_identity(got, want, "first scan's files");
+  fs::remove_all(dir);
+}
+
 // ------------------------------------------- analysis-layer read path ----
 
 TEST(ExecSpill, SpillSummaryMatchesInRamSummary) {

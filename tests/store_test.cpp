@@ -175,6 +175,72 @@ TEST(SpillStore, EmptyWriterProducesValidEmptyFile) {
   fs::remove_all(dir);
 }
 
+TEST(SpillStore, InMemoryWriterMergesLikeItsFile) {
+  // An empty directory keeps the segments in memory; SegmentReader then
+  // validates and merges those bytes exactly as it would the file.
+  const fs::path dir = scratch_dir("in_memory");
+  std::string path;
+  const std::vector<TaggedHost> want =
+      write_host_spill(dir, 0x5eed, 1, 2, 120, 9 * kHostRecordBytes, &path);
+  SpillConfig config;
+  config.segment_bytes = 9 * kHostRecordBytes;
+  config.seed = 0x5eed;
+  config.shard = 1;
+  config.total_shards = 2;
+  SpillWriter<core::HostScanRecord> writer(config);
+  for (auto it = want.rbegin(); it != want.rend(); ++it) {
+    writer.append(it->cycle, it->record);
+  }
+  ASSERT_TRUE(writer.close()) << writer.error();
+  EXPECT_TRUE(writer.path().empty());
+  const net::Bytes segments = writer.take_segments();
+  EXPECT_EQ(segments.size(), fs::file_size(path));
+
+  std::vector<SegmentReader<core::HostScanRecord>> readers(1);
+  std::string error;
+  ASSERT_TRUE(readers[0].open(segments, &error)) << error;
+  EXPECT_EQ(readers[0].segments().size(), 14u);
+  std::vector<core::HostScanRecord> got;
+  ASSERT_TRUE(read_merged<core::HostScanRecord>(std::move(readers), got, &error))
+      << error;
+  std::vector<core::HostScanRecord> from_file;
+  ASSERT_TRUE(read_merged<core::HostScanRecord>({path}, from_file, &error)) << error;
+  EXPECT_TRUE(got == from_file);
+  ASSERT_EQ(got.size(), want.size());
+
+  net::Bytes damaged = segments;
+  damaged[damaged.size() / 2] ^= 0x40;
+  SegmentReader<core::HostScanRecord> reader;
+  EXPECT_FALSE(reader.open(std::move(damaged), &error));
+  EXPECT_NE(error.find("CRC"), std::string::npos) << error;
+  fs::remove_all(dir);
+}
+
+TEST(SpillStore, SecondWriterOnTheSamePathFailsAndKeepsTheFirstFile) {
+  const fs::path dir = scratch_dir("no_overwrite");
+  std::string path;
+  const std::vector<TaggedHost> want =
+      write_host_spill(dir, 11, 0, 1, 40, 6 * kHostRecordBytes, &path);
+
+  SpillConfig config;
+  config.directory = dir.string();
+  config.seed = 12;
+  SpillWriter<core::HostScanRecord> second(config);
+  EXPECT_FALSE(second.ok());
+  second.append(0, want.front().record);
+  EXPECT_FALSE(second.close());
+  EXPECT_EQ(second.error(), "refusing to overwrite " + path);
+
+  std::vector<core::HostScanRecord> got;
+  std::string error;
+  ASSERT_TRUE(read_merged<core::HostScanRecord>({path}, got, &error)) << error;
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_TRUE(got[i] == want[i].record) << "record " << i << " diverges";
+  }
+  fs::remove_all(dir);
+}
+
 // ------------------------------------------- corruption is an error ----
 
 TEST(SpillStore, TruncatedTailIsDetectedNotMisread) {
